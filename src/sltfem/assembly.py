@@ -86,7 +86,8 @@ class FESpace:
     # filled by __post_init__
     element_dofs: np.ndarray = field(init=False, repr=False)   # (ne, nloc) scalar dofs
     dof_coords: np.ndarray = field(init=False, repr=False)     # (n_scalar_dofs, 2)
-    edge_dof: dict = field(init=False, repr=False)             # sorted corner pair -> edge dof
+    edge_keys: np.ndarray = field(init=False, repr=False)      # sorted lo*n_nodes+hi corner keys
+    edge_dof: np.ndarray = field(init=False, repr=False)       # edge dof of each edge_keys entry
     qp_ref: np.ndarray = field(init=False, repr=False)
     qp_w: np.ndarray = field(init=False, repr=False)
     N: np.ndarray = field(init=False, repr=False)              # (nqp, nloc)
@@ -104,28 +105,21 @@ class FESpace:
         if self.order == 1:
             self.element_dofs = mesh.elements.copy()
             self.dof_coords = mesh.nodes.copy()
-            self.edge_dof = {}
+            self.edge_keys = self.edge_dof = np.zeros(0, dtype=int)
         else:
-            edge_dof: dict[tuple[int, int], int] = {}
-            coords = [mesh.nodes]
-            elem_dofs = np.zeros((mesh.n_elements, 9), dtype=int)
-            elem_dofs[:, :4] = mesh.elements
-            next_dof = nn
-            edge_coords = []
-            local_edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
-            for e, conn in enumerate(mesh.elements):
-                for le, (la, lb) in enumerate(local_edges):
-                    key = tuple(sorted((int(conn[la]), int(conn[lb]))))
-                    if key not in edge_dof:
-                        edge_dof[key] = next_dof
-                        edge_coords.append(0.5 * (mesh.nodes[key[0]] + mesh.nodes[key[1]]))
-                        next_dof += 1
-                    elem_dofs[e, 4 + le] = edge_dof[key]
-            cell_coords = mesh.nodes[mesh.elements].mean(axis=1)
-            elem_dofs[:, 8] = np.arange(next_dof, next_dof + mesh.n_elements)
-            self.element_dofs = elem_dofs
-            self.dof_coords = np.vstack([mesh.nodes, np.array(edge_coords), cell_coords])
-            self.edge_dof = edge_dof
+            # Element edges in (element, local edge) order, keyed by their
+            # sorted corner pair; each edge is numbered at its first occurrence.
+            corners = np.sort(mesh.elements[:, [0, 1, 1, 2, 2, 3, 3, 0]].reshape(-1, 2), axis=1)
+            self.edge_keys, first, inverse = np.unique(
+                corners[:, 0] * nn + corners[:, 1], return_index=True, return_inverse=True)
+            self.edge_dof = np.empty_like(first)
+            self.edge_dof[np.argsort(first)] = nn + np.arange(first.size)
+            cells = nn + first.size + np.arange(mesh.n_elements)
+            self.element_dofs = np.column_stack(
+                [mesh.elements, self.edge_dof[inverse].reshape(-1, 4), cells])
+            edge_coords = mesh.nodes[corners[np.sort(first)]].mean(axis=1)
+            self.dof_coords = np.vstack(
+                [mesh.nodes, edge_coords, mesh.nodes[mesh.elements].mean(axis=1)])
 
         nq1 = self.n_quad if self.n_quad is not None else self.order + 1
         self.qp_ref, self.qp_w = gauss_points(nq1)
@@ -143,7 +137,7 @@ class FESpace:
         invJ[..., 0, 1] = -J[..., 0, 1] / detJ
         invJ[..., 1, 0] = -J[..., 1, 0] / detJ
         # dN/dx_i = dN/dxi_k * (J^-1)[k,i]
-        self.dNdx = np.einsum("qak,eqki->eqai", dN, invJ)
+        self.dNdx = dN @ invJ
         self.detJxW = detJ * self.qp_w[None, :]
         self.qp_xy = np.einsum("eai,qa->eqi", X, Ngeo)
 
@@ -166,15 +160,13 @@ class FESpace:
 
     def boundary_scalar_dofs(self, tag: str) -> np.ndarray:
         """Scalar dofs lying on facets with the given tag (corners + Q2 midpoints)."""
-        dofs = set()
-        for (na, nb), t in self.mesh.facet_tags.items():
-            if t != tag:
-                continue
-            dofs.add(na)
-            dofs.add(nb)
-            if self.order == 2:
-                dofs.add(self.edge_dof[tuple(sorted((na, nb)))])
-        return np.array(sorted(dofs), dtype=int)
+        facets = np.array(self.mesh.facets_with_tag(tag), dtype=int).reshape(-1, 2)
+        dofs = [facets.ravel()]
+        if self.order == 2:
+            facets.sort(axis=1)
+            keys = facets[:, 0] * self.mesh.n_nodes + facets[:, 1]
+            dofs.append(self.edge_dof[np.searchsorted(self.edge_keys, keys)])
+        return np.unique(np.concatenate(dofs))
 
 
 @dataclass
@@ -249,42 +241,59 @@ def _evaluate_bc(value, coords: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet elimination
+# Assembly plan: global sparsity pattern and Dirichlet elimination
 
 
-def _eliminate_dirichlet(K: sp.csr_matrix, f: np.ndarray,
-                         dirichlet: dict[int, float]) -> LinearSystem:
-    """Symmetric elimination: zero row/col, unit diagonal, rhs lift."""
-    if not dirichlet:
-        raise EmptyDirichlet("no Dirichlet degrees of freedom; system is singular")
-    n = f.shape[0]
-    dofs = np.fromiter(dirichlet.keys(), dtype=int)
-    vals = np.fromiter((dirichlet[d] for d in dofs), dtype=float)
-    g = np.zeros(n)
-    g[dofs] = vals
-    f = f - K @ g
-    f[dofs] = vals
-    keep = np.ones(n, dtype=bool)
-    keep[dofs] = False
-    diag = sp.diags(keep.astype(float))
-    K_red = diag @ K @ diag
-    K_red = (K_red + sp.diags((~keep).astype(float))).tocsr()
-    return LinearSystem(matrix=K_red, rhs=f)
+class AssemblyPlan:
+    """CSR pattern of a space's global matrix, built once and reused per assembly.
+
+    Element matrices are summed into the CSR data through a scatter index,
+    in the order a COO-to-CSR conversion sums them. Given Dirichlet data,
+    the plan also holds the pattern left by symmetric elimination, so the
+    reduced matrix is the CSR data under a mask. A plan is tied to its space
+    and boundary data: build it in the solve that uses it, to be freed with it.
+    """
+
+    def __init__(self, space: FESpace, block: int,
+                 dirichlet: dict[int, float] | None = None):
+        ed = space.element_dofs
+        dofs = ed if block == 1 else space.vector_dofs(ed).reshape(ed.shape[0], -1)
+        self.n = n = block * space.n_scalar_dofs
+        m = dofs.shape[1]
+        keys = (np.repeat(dofs, m, axis=1) * n + np.tile(dofs, (1, m))).ravel()
+        keys, scatter = np.unique(keys, return_inverse=True)
+        rows, cols = np.divmod(keys, n)
+        self.scatter = scatter.astype(np.int32)
+        self.pattern = (cols.astype(np.int32), _row_pointer(rows, n))
+        if dirichlet is None:
+            return
+        if not dirichlet:
+            raise EmptyDirichlet("no Dirichlet degrees of freedom; system is singular")
+        self.fixed = np.zeros(n, dtype=bool)
+        self.fixed[list(dirichlet)] = True
+        self.lift = np.zeros(n)
+        self.lift[list(dirichlet)] = list(dirichlet.values())
+        self.kept = ~(self.fixed[rows] | self.fixed[cols]) | (rows == cols)
+        self.reduced = (self.pattern[0][self.kept], _row_pointer(rows[self.kept], n))
+        self.unit_diagonal = np.flatnonzero(self.fixed[rows[self.kept]])
+
+    def assemble(self, k_local: np.ndarray) -> sp.csr_matrix:
+        """Global matrix of per-element matrices (ne, m, m)."""
+        data = np.bincount(self.scatter, weights=k_local.ravel(),
+                           minlength=self.pattern[0].size)
+        return sp.csr_matrix((data, *self.pattern), shape=(self.n, self.n))
+
+    def eliminate(self, K: sp.csr_matrix, f: np.ndarray) -> LinearSystem:
+        """Symmetric elimination of K from assemble(): zero row/col, unit diagonal, rhs lift."""
+        f = f - K @ self.lift
+        f[self.fixed] = self.lift[self.fixed]
+        data = K.data[self.kept]
+        data[self.unit_diagonal] = 1.0
+        return LinearSystem(matrix=sp.csr_matrix((data, *self.reduced), shape=K.shape), rhs=f)
 
 
-def _assemble_csr(space: FESpace, k_local: np.ndarray, block: int) -> sp.csr_matrix:
-    """Scatter per-element matrices (ne, m, m) into a global CSR matrix."""
-    ed = space.element_dofs
-    if block == 1:
-        dofs = ed
-    else:
-        ne, nloc = ed.shape
-        dofs = space.vector_dofs(ed).reshape(ne, 2 * nloc)
-    rows = np.repeat(dofs, dofs.shape[1], axis=1).ravel()
-    cols = np.tile(dofs, (1, dofs.shape[1])).ravel()
-    n = block * space.n_scalar_dofs
-    K = sp.coo_matrix((k_local.ravel(), (rows, cols)), shape=(n, n))
-    return K.tocsr()
+def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
+    return np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +314,6 @@ def assemble_thermal(space: FESpace, p: MaterialParams, Q_source=0.0,
     if space.components != 1:
         raise ValueError("thermal problem needs a scalar space")
     k_local = p.k * np.einsum("eqai,eqbi,eq->eab", space.dNdx, space.dNdx, space.detJxW)
-    K = _assemble_csr(space, k_local, block=1)
     if callable(Q_source):
         Qq = np.vectorize(Q_source)(space.qp_xy[..., 0], space.qp_xy[..., 1])
     else:
@@ -313,7 +321,8 @@ def assemble_thermal(space: FESpace, p: MaterialParams, Q_source=0.0,
     f_local = np.einsum("eq,qa,eq->ea", Qq, space.N, space.detJxW)
     f = np.zeros(space.n_scalar_dofs)
     np.add.at(f, space.element_dofs.ravel(), f_local.ravel())
-    return _eliminate_dirichlet(K, f, thermal_dirichlet(space, bc))
+    plan = AssemblyPlan(space, 1, thermal_dirichlet(space, bc))
+    return plan.eliminate(plan.assemble(k_local), f)
 
 
 def scalar_gradients(field: FEField) -> np.ndarray:
@@ -378,24 +387,31 @@ def mechanical_dirichlet(space: FESpace, bc: MechanicalBC) -> dict[int, float]:
 
 def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None,
                         u_prev: FEField, bc: MechanicalBC,
-                        B: np.ndarray | None = None) -> tuple[LinearSystem, int]:
+                        B: np.ndarray | None = None,
+                        plan: AssemblyPlan | None = None) -> tuple[LinearSystem, int]:
     """Picard-linearized elasticity with the thermal-gradient body force.
 
     The nonlinear multiplier phi is evaluated from u_prev at each quadrature
-    point. Returns the reduced system and the number of clamp events.
+    point. Returns the reduced system and the number of clamp events. A
+    solve that assembles repeatedly passes B and
+    plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc)), built once.
     """
     if space.components != 2:
         raise ValueError("mechanical problem needs a 2-vector space")
     if B is None:
         B = strain_displacement(space)
+    if plan is None:
+        plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
     from .tensors import energy_norm_m
 
     eps_prev = strains_at_qps(u_prev, B)
     t_prev = energy_norm_m(eps_prev, p.E.entries)
     phi, clamps = relaxation_factor_m(t_prev, p)
     scale = phi * space.detJxW
-    k_local = np.einsum("eqim,eq,ij,eqjn->emn", B, scale, p.E.entries, B, optimize=True)
-    K = _assemble_csr(space, k_local, block=2)
+    # k_e = sum_q B_q^T (phi detJ w E) B_q, one (m, 3 nqp) @ (3 nqp, m) product
+    ne, _, _, m = B.shape
+    EB = (p.E.entries @ B) * scale[..., None, None]
+    k_local = B.reshape(ne, -1, m).transpose(0, 2, 1) @ EB.reshape(ne, -1, m)
 
     f = np.zeros(space.n_dofs)
     if theta is not None:
@@ -403,24 +419,18 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
         f_local = -p.alpha * np.einsum("eqi,qa,eq->eai", grad_t, space.N, space.detJxW)
         vdofs = space.vector_dofs(space.element_dofs)          # (ne, nloc, 2)
         np.add.at(f, vdofs.ravel(), f_local.ravel())
-    sys = _eliminate_dirichlet(K, f, mechanical_dirichlet(space, bc))
-    return sys, clamps
+    return plan.eliminate(plan.assemble(k_local), f), clamps
 
 
 def mass_matrix(space: FESpace) -> sp.csr_matrix:
     """Consistent scalar mass matrix of the space (per component)."""
     m_local = np.einsum("qa,qb,eq->eab", space.N, space.N, space.detJxW)
-    return _assemble_csr(space, m_local, block=1)
+    return AssemblyPlan(space, 1).assemble(m_local)
 
 
 def l2_norm(space: FESpace, dof_values: np.ndarray, M: sp.csr_matrix | None = None) -> float:
     """L2 norm of a field given by dof values, via the consistent mass matrix."""
     if M is None:
         M = mass_matrix(space)
-    if space.components == 1:
-        return float(np.sqrt(max(dof_values @ (M @ dof_values), 0.0)))
-    total = 0.0
-    for c in range(2):
-        v = dof_values[c::2]
-        total += v @ (M @ v)
-    return float(np.sqrt(max(total, 0.0)))
+    v = dof_values.reshape(space.n_scalar_dofs, -1)
+    return float(np.sqrt(max(sum(c @ (M @ c) for c in v.T), 0.0)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .errors import InadmissibleStrain
 from .tensors import (
@@ -125,17 +126,12 @@ def relaxation_factor(t_prev: float, p: MaterialParams) -> float:
     return float(phi)
 
 
-def _radial_integrand(r: np.ndarray, p: MaterialParams) -> np.ndarray:
-    return r * (1.0 - (p.b * r) ** p.a) ** (-1.0 / p.a)
-
-
-def strain_energy_density_m(eps_m: np.ndarray, p: MaterialParams,
-                            tol: float = 1e-10, n0: int = 32, max_doublings: int = 8) -> np.ndarray:
+def strain_energy_density_m(eps_m: np.ndarray, p: MaterialParams) -> np.ndarray:
     """Hyperelastic energy density W(eps), vectorized over Mandel vectors.
 
     The radial path integral int_0^1 sigma(s*eps):eps ds collapses to
-    int_0^t r*(1-(b*r)^a)^(-1/a) dr with t the energy norm; evaluated by
-    Gauss-Legendre with node doubling until the increment is below tol.
+    int_0^t r*(1-(b*r)^a)^(-1/a) dr with t the energy norm; the substitution
+    w = (b*r)^a turns it into 1/2 t^2 2F1(2/a, 1/a; 2/a+1; (b*t)^a).
     """
     eps_m = np.asarray(eps_m, dtype=float)
     t = energy_norm_m(eps_m, p.E.entries)
@@ -143,19 +139,7 @@ def strain_energy_density_m(eps_m: np.ndarray, p: MaterialParams,
         return 0.5 * t**2
     if np.any(p.b * t >= 1.0 - DELTA_GUARD):
         raise InadmissibleStrain(float(np.max(t)))
-    t_arr = np.atleast_1d(t)
-    n = n0
-    prev = None
-    for _ in range(max_doublings + 1):
-        x, w = np.polynomial.legendre.leggauss(n)
-        # map [-1,1] -> [0,t] per point
-        r = 0.5 * t_arr[..., None] * (x + 1.0)
-        vals = 0.5 * t_arr * np.sum(w * _radial_integrand(r, p), axis=-1)
-        if prev is not None and np.all(np.abs(vals - prev) <= tol * np.maximum(1.0, np.abs(vals))):
-            break
-        prev = vals
-        n *= 2
-    return vals.reshape(np.shape(t)) if np.ndim(t) else float(vals[0])
+    return 0.5 * t**2 * hyp2f1(2.0 / p.a, 1.0 / p.a, 2.0 / p.a + 1.0, (p.b * t) ** p.a)
 
 
 def strain_energy_density(eps: SymTensor2, p: MaterialParams) -> float:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sltfem import EmptyDirichlet, MaterialParams, build_cracked_grid, build_grid
+from sltfem import CrackSpec, EmptyDirichlet, MaterialParams, build_cracked_grid, build_grid
 from sltfem.assembly import (
     FEField,
     FESpace,
@@ -18,7 +19,9 @@ from sltfem.assembly import (
     mass_matrix,
     mechanical_dirichlet,
     shape_functions,
+    strain_displacement,
     strains_at_qps,
+    thermal_dirichlet,
     thermal_gradient_at_qp,
 )
 from sltfem.mesh import GAMMA1, GAMMA3
@@ -96,6 +99,38 @@ class TestFESpace:
         space = FESpace(build_grid(2, 2), order=1, components=2)
         with pytest.raises(ValueError):
             FEField(space, np.zeros(7))
+
+
+def loop_q2_numbering(mesh):
+    """Q2 element dofs and dof coordinates, numbering each edge at first sight."""
+    edge_dof = {}
+    coords = []
+    elem_dofs = np.zeros((mesh.n_elements, 9), dtype=int)
+    elem_dofs[:, :4] = mesh.elements
+    next_dof = mesh.n_nodes
+    for e, conn in enumerate(mesh.elements):
+        for le, (la, lb) in enumerate([(0, 1), (1, 2), (2, 3), (3, 0)]):
+            key = tuple(sorted((int(conn[la]), int(conn[lb]))))
+            if key not in edge_dof:
+                edge_dof[key] = next_dof
+                coords.append(0.5 * (mesh.nodes[key[0]] + mesh.nodes[key[1]]))
+                next_dof += 1
+            elem_dofs[e, 4 + le] = edge_dof[key]
+    elem_dofs[:, 8] = np.arange(next_dof, next_dof + mesh.n_elements)
+    cells = mesh.nodes[mesh.elements].mean(axis=1)
+    return elem_dofs, np.vstack([mesh.nodes, np.array(coords), cells])
+
+
+class TestQ2EdgeNumbering:
+    @pytest.mark.parametrize("mesh", [
+        build_grid(3, 2), build_cracked_grid(4, 4), build_cracked_grid(8, 8),
+        build_cracked_grid(8, 8, CrackSpec(mouth_edge="right", tip_x=0.25)),
+    ])
+    def test_vectorized_numbering_equals_loop(self, mesh):
+        space = FESpace(mesh, order=2)
+        elem_dofs, coords = loop_q2_numbering(mesh)
+        np.testing.assert_array_equal(space.element_dofs, elem_dofs)
+        np.testing.assert_array_equal(space.dof_coords, coords)
 
 
 class TestThermalAssembly:
@@ -294,3 +329,114 @@ class TestMassMatrixAndNorms:
         space = FESpace(build_grid(4, 4), order=1, components=2)
         vals = interpolate_vec(space, lambda x, y: 3.0, lambda x, y: 4.0)
         assert l2_norm(space, vals) == pytest.approx(5.0, rel=1e-12)
+
+
+def coo_matrix_oracle(space, k_local, block):
+    """Global matrix by COO-to-CSR conversion, the construction AssemblyPlan replaced."""
+    dofs = space.element_dofs
+    if block == 2:
+        dofs = space.vector_dofs(dofs).reshape(dofs.shape[0], -1)
+    m = dofs.shape[1]
+    rows = np.repeat(dofs, m, axis=1).ravel()
+    cols = np.tile(dofs, (1, m)).ravel()
+    n = block * space.n_scalar_dofs
+    return sp.coo_matrix((k_local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def eliminate_oracle(K, f, dirichlet):
+    """Symmetric Dirichlet elimination by the diagonal product diag @ K @ diag."""
+    dofs = np.fromiter(dirichlet.keys(), dtype=int)
+    vals = np.fromiter(dirichlet.values(), dtype=float)
+    g = np.zeros(f.shape[0])
+    g[dofs] = vals
+    f = f - K @ g
+    f[dofs] = vals
+    keep = np.ones(f.shape[0])
+    keep[dofs] = 0.0
+    K_red = sp.diags(keep) @ K @ sp.diags(keep) + sp.diags(1.0 - keep)
+    return K_red.toarray(), f
+
+
+def assert_close_rel(actual, expected, rtol=1e-14):
+    np.testing.assert_allclose(actual, expected, rtol=0,
+                               atol=rtol * max(abs(expected).max(), 1e-300))
+
+
+PLAN_CASES = [(n, order, b) for n in (4, 8) for order in (1, 2) for b in (0.0, 0.02)]
+
+
+class TestAssemblyPlan:
+    """Planned assembly against the COO + diag @ K @ diag construction."""
+
+    @staticmethod
+    def thermal(n, order, b):
+        space = FESpace(build_cracked_grid(n, n), order=order)
+        return space, make_params(b=b)
+
+    @pytest.mark.parametrize("n,order,b", PLAN_CASES)
+    def test_thermal_matches_oracle(self, n, order, b):
+        space, p = self.thermal(n, order, b)
+        bc = ThermalBC(value=lambda x, y: 400.0 * x * (1.0 - x))
+        sys = assemble_thermal(space, p, 100.0, bc)
+        k_local = p.k * np.einsum("eqai,eqbi,eq->eab", space.dNdx, space.dNdx, space.detJxW)
+        f_local = np.einsum("qa,eq->ea", 100.0 * space.N, space.detJxW)
+        f = np.zeros(space.n_dofs)
+        np.add.at(f, space.element_dofs.ravel(), f_local.ravel())
+        K_ref, f_ref = eliminate_oracle(coo_matrix_oracle(space, k_local, 1), f,
+                                        thermal_dirichlet(space, bc))
+        assert_close_rel(sys.matrix.toarray(), K_ref)
+        assert_close_rel(sys.rhs, f_ref)
+
+    @pytest.mark.parametrize("n,order,b", PLAN_CASES)
+    def test_mechanical_matches_oracle(self, n, order, b):
+        theta_space, p = self.thermal(n, order, b)
+        theta = solve_thermal(theta_space, p, Q_source=100.0, bc=ThermalBC(value=100.0))
+        space = FESpace(theta_space.mesh, order=order, components=2)
+        # a curved previous iterate makes phi differ between quadrature points
+        u_prev = FEField(space, interpolate_vec(space, lambda x, y: 5.0 * x * y,
+                                                lambda x, y: 3.0 * x * x))
+        bc = MechanicalBC(top_uy=0.1)
+        sys, _ = assemble_mechanical(space, p, theta, u_prev, bc)
+
+        from sltfem.constitutive import relaxation_factor_m
+        from sltfem.tensors import energy_norm_m
+
+        B = strain_displacement(space)
+        phi, _ = relaxation_factor_m(energy_norm_m(strains_at_qps(u_prev, B), p.E.entries), p)
+        assert (phi.max() > phi.min()) == (b > 0.0)
+        k_local = np.einsum("eqim,eq,ij,eqjn->emn", B, phi * space.detJxW, p.E.entries, B,
+                            optimize=True)
+        f_local = -p.alpha * np.einsum("eqi,qa,eq->eai", np.einsum(
+            "ea,eqai->eqi", theta.element_values(), space.dNdx), space.N, space.detJxW)
+        f = np.zeros(space.n_dofs)
+        np.add.at(f, space.vector_dofs(space.element_dofs).ravel(), f_local.ravel())
+        K_ref, f_ref = eliminate_oracle(coo_matrix_oracle(space, k_local, 2), f,
+                                        mechanical_dirichlet(space, bc))
+        assert_close_rel(sys.matrix.toarray(), K_ref)
+        assert_close_rel(sys.rhs, f_ref)
+
+    @pytest.mark.parametrize("n,order,b", PLAN_CASES)
+    def test_mass_matches_oracle(self, n, order, b):
+        space, _ = self.thermal(n, order, b)
+        m_local = np.einsum("qa,qb,eq->eab", space.N, space.N, space.detJxW)
+        assert_close_rel(mass_matrix(space).toarray(),
+                         coo_matrix_oracle(space, m_local, 1).toarray())
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_dirichlet_rows_and_columns_hold_unit_diagonal(self, order):
+        theta_space, p = self.thermal(8, order, 0.02)
+        space = FESpace(theta_space.mesh, order=order, components=2)
+        bc = MechanicalBC(top_uy=0.1)
+        systems = [
+            (assemble_thermal(theta_space, p, 100.0, ThermalBC()),
+             thermal_dirichlet(theta_space, ThermalBC())),
+            (assemble_mechanical(space, p, None, FEField.zero(space), bc)[0],
+             mechanical_dirichlet(space, bc)),
+        ]
+        for sys, dirichlet in systems:
+            dofs = np.fromiter(dirichlet, dtype=int)
+            for lines in (sys.matrix.tocsr()[dofs], sys.matrix.tocsc()[:, dofs].T.tocsr()):
+                lines = lines.tocoo()
+                np.testing.assert_array_equal(dofs[lines.row], lines.col)
+                np.testing.assert_array_equal(lines.data, 1.0)
+                assert lines.nnz == dofs.size
