@@ -11,18 +11,18 @@ from .assembly import (
     ThermalBC,
     assemble_mechanical,
     assemble_thermal,
-    evaluate_strain,
-    thermal_gradient_at_qp,
+    scalar_gradients,
+    strains_at_qps,
 )
 from .config import RunConfig, RunResult, parse_config, run_single, serialize_config
 from .constitutive import (
     DELTA_GUARD,
     MaterialParams,
-    relaxation_factor,
-    strain_energy_density,
-    strain_from_stress,
-    stress_from_strain,
-    thermal_stress,
+    relaxation_factor_m,
+    strain_energy_density_m,
+    strain_from_stress_m,
+    stress_from_strain_m,
+    thermal_stress_m,
 )
 from .errors import (
     EmptyDirichlet,
@@ -56,10 +56,9 @@ from .solver import PicardConfig, SolveReport, linear_solve, picard_solve, solve
 from .tensors import (
     Compliance3,
     Stiffness3,
-    SymTensor2,
     build_compliance,
     build_stiffness,
-    energy_norm,
+    energy_norm_m,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from .constitutive import MaterialParams, relaxation_factor_m
 from .errors import EmptyDirichlet
 from .mesh import GAMMA1, GAMMA3, CrackedMesh
-from .tensors import SQRT2
+from .tensors import SQRT2, energy_norm_m
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +331,6 @@ def scalar_gradients(field: FEField) -> np.ndarray:
     return np.einsum("ea,eqai->eqi", vals, field.space.dNdx)
 
 
-def thermal_gradient_at_qp(theta: FEField, element: int, qp: int) -> np.ndarray:
-    """grad(theta_h) at one quadrature point of one element."""
-    vals = theta.element_values()[element]
-    return np.einsum("a,ai->i", vals, theta.space.dNdx[element, qp])
-
-
 # ---------------------------------------------------------------------------
 # Mechanical problem
 
@@ -360,14 +354,6 @@ def strains_at_qps(u: FEField, B: np.ndarray | None = None) -> np.ndarray:
         B = strain_displacement(space)
     u_loc = u.element_values().reshape(space.mesh.n_elements, -1)
     return np.einsum("eqim,em->eqi", B, u_loc)
-
-
-def evaluate_strain(u: FEField, element: int, qp: int):
-    """Symmetric gradient of a vector field at one quadrature point."""
-    from .tensors import SymTensor2
-
-    eps = strains_at_qps(u)[element, qp]
-    return SymTensor2.from_mandel(eps)
 
 
 def mechanical_dirichlet(space: FESpace, bc: MechanicalBC) -> dict[int, float]:
@@ -402,7 +388,6 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
         B = strain_displacement(space)
     if plan is None:
         plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
-    from .tensors import energy_norm_m
 
     eps_prev = strains_at_qps(u_prev, B)
     t_prev = energy_norm_m(eps_prev, p.E.entries)

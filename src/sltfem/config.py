@@ -7,7 +7,7 @@ default; command-line `--key value` flags override file values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .assembly import FESpace, MechanicalBC, ThermalBC
 from .constitutive import MaterialParams
@@ -67,11 +67,7 @@ class RunConfig:
     def picard(self) -> PicardConfig:
         return PicardConfig(tol=self.tol, max_iter=self.max_iter, damping=self.damping)
 
-    def with_material(self, **kw) -> "RunConfig":
-        return replace(self, **kw)
 
-
-# key -> (attribute, parser)
 def _parse_bool(s: str) -> bool:
     if s.lower() in ("true", "yes", "1", "on"):
         return True
@@ -84,13 +80,14 @@ def _parse_values(s: str) -> tuple[float, ...]:
     return tuple(float(v) for v in s.replace(",", " ").split())
 
 
+# key -> (attribute, parser); crack.<name> is a field of RunConfig.crack
 _KEYS: dict[str, tuple[str, object]] = {
     "mesh.nx": ("nx", int),
     "mesh.ny": ("ny", int),
-    "mesh.crack": ("_crack_on", _parse_bool),
-    "mesh.crack_y": ("_crack_y", float),
-    "mesh.crack_mouth": ("_crack_mouth", str),
-    "mesh.crack_tip_x": ("_crack_tip_x", float),
+    "mesh.crack": ("crack", _parse_bool),
+    "mesh.crack_y": ("crack.y_line", float),
+    "mesh.crack_mouth": ("crack.mouth_edge", str),
+    "mesh.crack_tip_x": ("crack.tip_x", float),
     "element_order": ("element_order", int),
     "material.lambda": ("lam", float),
     "material.mu": ("mu", float),
@@ -174,14 +171,10 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
             parsed = parser(value)
         except ValueError as exc:
             raise TypeMismatch(key, lineno, str(exc)) from exc
-        if attr == "_crack_on":
+        if attr == "crack":
             crack_on = parsed
-        elif attr == "_crack_y":
-            crack_extra["y_line"] = parsed
-        elif attr == "_crack_mouth":
-            crack_extra["mouth_edge"] = parsed
-        elif attr == "_crack_tip_x":
-            crack_extra["tip_x"] = parsed
+        elif attr.startswith("crack."):
+            crack_extra[attr[len("crack."):]] = parsed
         else:
             fields[attr] = parsed
 
@@ -197,44 +190,35 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     return _validate(cfg, lines={k: ln for k, (_, ln) in raw.items()})
 
 
+# Keys written only when set; sweep.values is written with sweep.parameter.
+_OPTIONAL = ("vtk_path", "csv_path", "sweep_parameter")
+
+_FORMAT = {
+    float: "{:.17g}".format,
+    _parse_bool: lambda v: "true" if v else "false",
+    _parse_values: lambda vs: ",".join(f"{v:.17g}" for v in vs),
+}
+
+
+def _key_value(cfg: RunConfig, attr: str):
+    """Value of a _KEYS attribute in cfg, or None if its key is left out."""
+    if attr == "crack":
+        return cfg.crack is not None
+    if attr.startswith("crack."):
+        return None if cfg.crack is None else getattr(cfg.crack, attr[len("crack."):])
+    if attr == "sweep_values":
+        return cfg.sweep_values if cfg.sweep_parameter else None
+    value = getattr(cfg, attr)
+    return None if attr in _OPTIONAL and not value else value
+
+
 def serialize_config(cfg: RunConfig) -> str:
-    """Inverse of parse_config: emits every key so a round trip is identity."""
+    """Inverse of parse_config: emits every set key so a round trip is identity."""
     lines = []
-
-    def emit(key, value):
-        lines.append(f"{key} = {value}")
-
-    emit("mesh.nx", cfg.nx)
-    emit("mesh.ny", cfg.ny)
-    emit("mesh.crack", "true" if cfg.crack is not None else "false")
-    if cfg.crack is not None:
-        emit("mesh.crack_y", f"{cfg.crack.y_line:.17g}")
-        emit("mesh.crack_mouth", cfg.crack.mouth_edge)
-        emit("mesh.crack_tip_x", f"{cfg.crack.tip_x:.17g}")
-    emit("element_order", cfg.element_order)
-    emit("material.lambda", f"{cfg.lam:.17g}")
-    emit("material.mu", f"{cfg.mu:.17g}")
-    emit("material.gamma", f"{cfg.gamma:.17g}")
-    emit("material.fiber_angle", f"{cfg.fiber_angle:.17g}")
-    emit("material.a", f"{cfg.a:.17g}")
-    emit("material.b", f"{cfg.b:.17g}")
-    emit("material.alpha_T", f"{cfg.alpha_T:.17g}")
-    emit("material.k", f"{cfg.k:.17g}")
-    emit("thermal_bc.kind", cfg.thermal_kind)
-    emit("thermal_bc.theta0", f"{cfg.theta0:.17g}")
-    emit("thermal_bc.c", f"{cfg.thermal_c:.17g}")
-    emit("thermal_bc.Q", f"{cfg.Q:.17g}")
-    emit("mechanical_bc.top_uy", f"{cfg.top_uy:.17g}")
-    emit("picard.tol", f"{cfg.tol:.17g}")
-    emit("picard.max_iter", cfg.max_iter)
-    emit("picard.damping", f"{cfg.damping:.17g}")
-    if cfg.vtk_path:
-        emit("outputs.vtk_path", cfg.vtk_path)
-    if cfg.csv_path:
-        emit("outputs.csv_path", cfg.csv_path)
-    if cfg.sweep_parameter:
-        emit("sweep.parameter", cfg.sweep_parameter)
-        emit("sweep.values", ",".join(f"{v:.17g}" for v in cfg.sweep_values))
+    for key, (attr, parser) in _KEYS.items():
+        value = _key_value(cfg, attr)
+        if value is not None:
+            lines.append(f"{key} = {_FORMAT.get(parser, str)(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,6 @@ from .errors import InadmissibleStrain
 from .tensors import (
     Compliance3,
     Stiffness3,
-    SymTensor2,
     build_compliance,
     build_stiffness,
     energy_norm_m,
@@ -80,12 +79,7 @@ def stress_from_strain_m(eps_m: np.ndarray, p: MaterialParams) -> np.ndarray:
         idx = np.unravel_index(int(np.argmax(bt)), np.shape(bt)) if np.ndim(bt) else None
         raise InadmissibleStrain(float(np.max(t)), location=idx)
     phi = (1.0 - bt**p.a) ** (-1.0 / p.a)
-    return lin * phi[..., None] if np.ndim(bt) else lin * phi
-
-
-def stress_from_strain(eps: SymTensor2, p: MaterialParams) -> SymTensor2:
-    """Strain-limiting stress response sigma(eps)."""
-    return SymTensor2.from_mandel(stress_from_strain_m(eps.mandel, p))
+    return lin * phi[..., None]
 
 
 def strain_from_stress_m(sigma_m: np.ndarray, p: MaterialParams) -> np.ndarray:
@@ -96,12 +90,7 @@ def strain_from_stress_m(sigma_m: np.ndarray, p: MaterialParams) -> np.ndarray:
         return lin
     s = energy_norm_m(sigma_m, p.K.entries)
     psi = (1.0 + (p.b * s) ** p.a) ** (-1.0 / p.a)
-    return lin * psi[..., None] if np.ndim(s) else lin * psi
-
-
-def strain_from_stress(sigma: SymTensor2, p: MaterialParams) -> SymTensor2:
-    """Strain-limiting strain response; energy norm of the result is < 1/b."""
-    return SymTensor2.from_mandel(strain_from_stress_m(sigma.mandel, p))
+    return lin * psi[..., None]
 
 
 def relaxation_factor_m(t_prev: np.ndarray, p: MaterialParams) -> tuple[np.ndarray, int]:
@@ -120,12 +109,6 @@ def relaxation_factor_m(t_prev: np.ndarray, p: MaterialParams) -> tuple[np.ndarr
     return (1.0 - (p.b * t_eff) ** p.a) ** (-1.0 / p.a), clamped
 
 
-def relaxation_factor(t_prev: float, p: MaterialParams) -> float:
-    """Scalar Picard multiplier, >= 1."""
-    phi, _ = relaxation_factor_m(np.asarray(t_prev, dtype=float), p)
-    return float(phi)
-
-
 def strain_energy_density_m(eps_m: np.ndarray, p: MaterialParams) -> np.ndarray:
     """Hyperelastic energy density W(eps), vectorized over Mandel vectors.
 
@@ -142,11 +125,6 @@ def strain_energy_density_m(eps_m: np.ndarray, p: MaterialParams) -> np.ndarray:
     return 0.5 * t**2 * hyp2f1(2.0 / p.a, 1.0 / p.a, 2.0 / p.a + 1.0, (p.b * t) ** p.a)
 
 
-def strain_energy_density(eps: SymTensor2, p: MaterialParams) -> float:
-    """W(eps) >= 0 with W(0) = 0; gradient of W is stress_from_strain."""
-    return float(strain_energy_density_m(eps.mandel, p))
-
-
 def thermal_stress_m(sigma_mech_m: np.ndarray, theta, p: MaterialParams) -> np.ndarray:
     """Total stress sigma_Th = sigma - alpha*theta*I on Mandel vectors."""
     sigma_mech_m = np.asarray(sigma_mech_m, dtype=float)
@@ -155,7 +133,3 @@ def thermal_stress_m(sigma_mech_m: np.ndarray, theta, p: MaterialParams) -> np.n
     out[..., 1] -= p.alpha * theta
     return out
 
-
-def thermal_stress(sigma_mech: SymTensor2, theta: float, p: MaterialParams) -> SymTensor2:
-    """Subtract the isotropic thermal stress alpha*theta*I."""
-    return SymTensor2.from_mandel(thermal_stress_m(sigma_mech.mandel, theta, p))

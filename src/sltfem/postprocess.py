@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,24 +97,21 @@ def recover_fields(u: FEField, theta: FEField | None, p: MaterialParams
 
     out: dict[str, NodalField] = {}
 
-    def tensor_field(name, qp_vals, units):
+    def nodal_field(name, qp_vals, units=""):
         out[name] = NodalField(mesh, _project_to_nodes(mesh, space, qp_vals), name, units)
 
-    def scalar_field(name, qp_vals, units=""):
-        out[name] = NodalField(mesh, _project_to_nodes(mesh, space, qp_vals), name, units)
-
-    tensor_field("strain", eps, "-")
-    tensor_field("stress", sig, "stress")
-    tensor_field("thermal_stress", sig_th, "stress")
-    scalar_field("energy_density", W, "stress")
-    scalar_field("strain_norm", np.linalg.norm(eps, axis=-1))
-    scalar_field("stress_norm", np.linalg.norm(sig, axis=-1), "stress")
+    nodal_field("strain", eps, "-")
+    nodal_field("stress", sig, "stress")
+    nodal_field("thermal_stress", sig_th, "stress")
+    nodal_field("energy_density", W, "stress")
+    nodal_field("strain_norm", np.linalg.norm(eps, axis=-1))
+    nodal_field("stress_norm", np.linalg.norm(sig, axis=-1), "stress")
     smax, smin = _principal_values(sig)
     emax, emin = _principal_values(eps)
-    scalar_field("principal_stress_max", smax, "stress")
-    scalar_field("principal_stress_min", smin, "stress")
-    scalar_field("principal_strain_max", emax)
-    scalar_field("principal_strain_min", emin)
+    nodal_field("principal_stress_max", smax, "stress")
+    nodal_field("principal_stress_min", smin, "stress")
+    nodal_field("principal_strain_max", emax)
+    nodal_field("principal_strain_min", emin)
     return out
 
 
@@ -139,7 +136,7 @@ def run_sweep(base_config, parameter: str, values) -> list["SweepRow"]:
         raise ValueError("sweep needs at least one value")
     rows = []
     for v in values:
-        cfg = base_config.with_material(**{parameter: float(v)})
+        cfg = replace(base_config, **{parameter: float(v)})
         result = run_single(cfg)
         fields = result.fields
         rows.append(SweepRow(
@@ -169,34 +166,27 @@ def write_vtk(fields: dict[str, NodalField], mesh: CrackedMesh, path) -> None:
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.n_nodes} double\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{x:.17g} {y:.17g} 0\n")
+        np.savetxt(fh, mesh.nodes, fmt="%.17g %.17g 0")
         ne = mesh.n_elements
         fh.write(f"CELLS {ne} {5 * ne}\n")
-        for conn in mesh.elements:
-            fh.write(f"4 {conn[0]} {conn[1]} {conn[2]} {conn[3]}\n")
+        np.savetxt(fh, mesh.elements, fmt="4 %d %d %d %d")
         fh.write(f"CELL_TYPES {ne}\n")
-        for _ in range(ne):
-            fh.write("9\n")
+        fh.write("9\n" * ne)
         fh.write(f"POINT_DATA {mesh.n_nodes}\n")
         for name, fld in fields.items():
             vals = fld.values
             if fld.is_tensor and vals.shape[1] == 3:
                 fh.write(f"TENSORS {name} double\n")
-                for m in vals:
-                    off = m[2] / SQRT2
-                    fh.write(f"{m[0]:.17g} {off:.17g} 0\n")
-                    fh.write(f"{off:.17g} {m[1]:.17g} 0\n")
-                    fh.write("0 0 0\n")
+                off = vals[:, 2] / SQRT2
+                np.savetxt(fh, np.column_stack([vals[:, 0], off, off, vals[:, 1]]),
+                           fmt="%.17g %.17g 0\n%.17g %.17g 0\n0 0 0")
             elif vals.ndim == 2 and vals.shape[1] == 2:
                 fh.write(f"VECTORS {name} double\n")
-                for v in vals:
-                    fh.write(f"{v[0]:.17g} {v[1]:.17g} 0\n")
+                np.savetxt(fh, vals, fmt="%.17g %.17g 0")
             else:
                 fh.write(f"SCALARS {name} double 1\n")
                 fh.write("LOOKUP_TABLE default\n")
-                for v in vals:
-                    fh.write(f"{v:.17g}\n")
+                np.savetxt(fh, vals, fmt="%.17g")
 
 
 def _fmt(v) -> str:

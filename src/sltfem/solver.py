@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -131,9 +131,7 @@ def picard_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
     M = mass_matrix(space)
     plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
 
-    p_lin = p if p.b == 0.0 else MaterialParams(
-        lam=p.lam, mu=p.mu, gamma=p.gamma, fiber_angle=p.fiber_angle,
-        a=p.a, b=0.0, alpha_T=p.alpha_T, k=p.k)
+    p_lin = p if p.b == 0.0 else replace(p, b=0.0)
     sys0, _ = assemble_mechanical(space, p_lin, theta, FEField.zero(space), bc, B=B, plan=plan)
     u = FEField(space, linear_solve(sys0, report))
 

@@ -20,50 +20,6 @@ SQRT2 = np.sqrt(2.0)
 IDENTITY_M = np.array([1.0, 1.0, 0.0])
 
 
-@dataclass(frozen=True)
-class SymTensor2:
-    """Symmetric 2x2 tensor in Mandel form: (t11, t22, sqrt(2)*t12)."""
-
-    m1: float
-    m2: float
-    m3: float
-
-    @classmethod
-    def from_mandel(cls, m) -> "SymTensor2":
-        m = np.asarray(m, dtype=float)
-        return cls(float(m[0]), float(m[1]), float(m[2]))
-
-    @classmethod
-    def from_matrix(cls, t) -> "SymTensor2":
-        t = np.asarray(t, dtype=float)
-        return cls(float(t[0, 0]), float(t[1, 1]), float(SQRT2 * 0.5 * (t[0, 1] + t[1, 0])))
-
-    @property
-    def mandel(self) -> np.ndarray:
-        return np.array([self.m1, self.m2, self.m3])
-
-    def to_matrix(self) -> np.ndarray:
-        off = self.m3 / SQRT2
-        return np.array([[self.m1, off], [off, self.m2]])
-
-    def norm(self) -> float:
-        """Frobenius norm of the represented tensor."""
-        return float(np.linalg.norm(self.mandel))
-
-    def dot(self, other: "SymTensor2") -> float:
-        """Double contraction A:B."""
-        return float(self.mandel @ other.mandel)
-
-    def trace(self) -> float:
-        return self.m1 + self.m2
-
-    def principal_values(self) -> tuple[float, float]:
-        """Eigenvalues of the 2x2 tensor, (max, min)."""
-        mean = 0.5 * (self.m1 + self.m2)
-        rad = np.hypot(0.5 * (self.m1 - self.m2), self.m3 / SQRT2)
-        return (mean + rad, mean - rad)
-
-
 def _check_spd(mat: np.ndarray, what: str) -> None:
     eigmin = float(np.linalg.eigvalsh(mat).min())
     if eigmin <= 0.0:
@@ -87,12 +43,6 @@ class Stiffness3:
         object.__setattr__(self, "entries", mat)
         _check_spd(mat, "stiffness")
 
-    def apply(self, eps: SymTensor2) -> SymTensor2:
-        return SymTensor2.from_mandel(self.entries @ eps.mandel)
-
-    def max_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries).max())
-
 
 @dataclass(frozen=True)
 class Compliance3:
@@ -105,9 +55,6 @@ class Compliance3:
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
         _check_spd(mat, "compliance")
-
-    def apply(self, sigma: SymTensor2) -> SymTensor2:
-        return SymTensor2.from_mandel(self.entries @ sigma.mandel)
 
 
 def structural_mandel(fiber_angle: float) -> np.ndarray:
@@ -140,7 +87,3 @@ def energy_norm_m(eps_m: np.ndarray, E_mat: np.ndarray) -> np.ndarray:
     q = np.einsum("...i,ij,...j->...", eps_m, E_mat, eps_m)
     return np.sqrt(np.maximum(q, 0.0))
 
-
-def energy_norm(eps: SymTensor2, E: Stiffness3) -> float:
-    """Energy norm ||E^(1/2)[eps]||, computed as the quadratic form."""
-    return float(energy_norm_m(eps.mandel, E.entries))

@@ -13,16 +13,15 @@ from sltfem.assembly import (
     ThermalBC,
     assemble_mechanical,
     assemble_thermal,
-    evaluate_strain,
     gauss_points,
     l2_norm,
     mass_matrix,
     mechanical_dirichlet,
+    scalar_gradients,
     shape_functions,
     strain_displacement,
     strains_at_qps,
     thermal_dirichlet,
-    thermal_gradient_at_qp,
 )
 from sltfem.mesh import GAMMA1, GAMMA3
 from sltfem.solver import linear_solve, solve_thermal
@@ -186,44 +185,42 @@ class TestThermalAssembly:
 class TestThermalGradient:
     def test_constant_field_zero_gradient(self):
         space = FESpace(build_grid(4, 4), order=1)
-        theta = FEField(space, np.full(space.n_scalar_dofs, 7.0))
+        grads = scalar_gradients(FEField(space, np.full(space.n_scalar_dofs, 7.0)))
         for e in (0, 5, 15):
-            np.testing.assert_allclose(thermal_gradient_at_qp(theta, e, 0), 0.0, atol=1e-13)
+            np.testing.assert_allclose(grads[e, 0], 0.0, atol=1e-13)
 
     def test_linear_field_exact_gradient(self):
         space = FESpace(build_grid(4, 4), order=1)
-        theta = FEField(space, interpolate(space, lambda x, y: y))
+        grads = scalar_gradients(FEField(space, interpolate(space, lambda x, y: y)))
         for e in range(space.mesh.n_elements):
             for q in range(space.nqp):
-                np.testing.assert_allclose(
-                    thermal_gradient_at_qp(theta, e, q), [0.0, 1.0], atol=1e-13)
+                np.testing.assert_allclose(grads[e, q], [0.0, 1.0], atol=1e-13)
 
     def test_quadratic_field_exact_on_q2(self):
         space = FESpace(build_grid(4, 4), order=2)
-        theta = FEField(space, interpolate(space, lambda x, y: 400 * x * (1 - x)))
+        grads = scalar_gradients(
+            FEField(space, interpolate(space, lambda x, y: 400 * x * (1 - x))))
         for e in (0, 7):
             for q in range(space.nqp):
                 x = space.qp_xy[e, q, 0]
-                grad = thermal_gradient_at_qp(theta, e, q)
-                np.testing.assert_allclose(grad, [400 - 800 * x, 0.0], atol=1e-10)
+                np.testing.assert_allclose(grads[e, q], [400 - 800 * x, 0.0], atol=1e-10)
 
 
 class TestStrainEvaluation:
     def test_zero_displacement(self):
         space = FESpace(build_grid(2, 2), order=1, components=2)
-        eps = evaluate_strain(FEField.zero(space), 0, 0)
-        assert eps.norm() == 0.0
+        eps = strains_at_qps(FEField.zero(space))[0, 0]
+        assert np.linalg.norm(eps) == 0.0
 
     def test_uniaxial(self):
         space = FESpace(build_grid(3, 3), order=2, components=2)
         u = FEField(space, interpolate_vec(space, lambda x, y: x, lambda x, y: 0.0))
-        np.testing.assert_allclose(evaluate_strain(u, 4, 2).mandel, [1, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(strains_at_qps(u)[4, 2], [1, 0, 0], atol=1e-12)
 
     def test_pure_shear(self):
         space = FESpace(build_grid(3, 3), order=2, components=2)
         u = FEField(space, interpolate_vec(space, lambda x, y: y, lambda x, y: x))
-        np.testing.assert_allclose(
-            evaluate_strain(u, 0, 0).mandel, [0, 0, math.sqrt(2)], atol=1e-12)
+        np.testing.assert_allclose(strains_at_qps(u)[0, 0], [0, 0, math.sqrt(2)], atol=1e-12)
 
 
 class TestMechanicalAssembly:
@@ -255,10 +252,10 @@ class TestMechanicalAssembly:
         p = make_params(a=1.0, b=0.1)
         u_prev = FEField(space, interpolate_vec(space, lambda x, y: 0.3 * x, lambda x, y: 0.0))
         eps = strains_at_qps(u_prev)[0, 0]
-        from sltfem.constitutive import relaxation_factor
+        from sltfem.constitutive import relaxation_factor_m
         from sltfem.tensors import energy_norm_m
 
-        phi = relaxation_factor(float(energy_norm_m(eps, p.E.entries)), p)
+        phi = float(relaxation_factor_m(energy_norm_m(eps, p.E.entries), p)[0])
         bc = MechanicalBC(extra={GAMMA1: (0.0, 0.0)})
         sys_nl, _ = assemble_mechanical(space, p, None, u_prev, bc)
         sys_lin, _ = assemble_mechanical(space, make_params(b=0.0), None,

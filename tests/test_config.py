@@ -1,9 +1,11 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from sltfem import InvariantViolation, TypeMismatch, UnknownKey
-from sltfem.config import RunConfig, parse_config, run_single, serialize_config
+from sltfem.config import _KEYS, RunConfig, parse_config, run_single, serialize_config
 from sltfem.mesh import CrackSpec
 
 
@@ -111,6 +113,77 @@ class TestRoundTrip:
     def test_default_round_trip(self):
         cfg = RunConfig()
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+class TestSerializeGolden:
+    def test_every_optional_key_set(self):
+        cfg = RunConfig(
+            nx=12, ny=8, crack=CrackSpec(y_line=0.25, mouth_edge="right", tip_x=0.75),
+            element_order=1, lam=1 / 3, mu=0.1, gamma=2.5, fiber_angle=math.pi / 4,
+            a=0.7, b=0.03, alpha_T=1e-5, k=2.0, thermal_kind="parabolic", theta0=50.0,
+            thermal_c=300.0, Q=12.5, top_uy=-0.1, tol=1e-10, max_iter=50, damping=0.9,
+            vtk_path="out.vtk", csv_path="out.csv", sweep_parameter="b",
+            sweep_values=(0.0, 0.01, 1 / 3))
+        assert serialize_config(cfg) == (
+            "mesh.nx = 12\n"
+            "mesh.ny = 8\n"
+            "mesh.crack = true\n"
+            "mesh.crack_y = 0.25\n"
+            "mesh.crack_mouth = right\n"
+            "mesh.crack_tip_x = 0.75\n"
+            "element_order = 1\n"
+            "material.lambda = 0.33333333333333331\n"
+            "material.mu = 0.10000000000000001\n"
+            "material.gamma = 2.5\n"
+            "material.fiber_angle = 0.78539816339744828\n"
+            "material.a = 0.69999999999999996\n"
+            "material.b = 0.029999999999999999\n"
+            "material.alpha_T = 1.0000000000000001e-05\n"
+            "material.k = 2\n"
+            "thermal_bc.kind = parabolic\n"
+            "thermal_bc.theta0 = 50\n"
+            "thermal_bc.c = 300\n"
+            "thermal_bc.Q = 12.5\n"
+            "mechanical_bc.top_uy = -0.10000000000000001\n"
+            "picard.tol = 1e-10\n"
+            "picard.max_iter = 50\n"
+            "picard.damping = 0.90000000000000002\n"
+            "outputs.vtk_path = out.vtk\n"
+            "outputs.csv_path = out.csv\n"
+            "sweep.parameter = b\n"
+            "sweep.values = 0,0.01,0.33333333333333331\n")
+
+    def test_crack_off(self):
+        assert serialize_config(RunConfig(crack=None)) == (
+            "mesh.nx = 32\n"
+            "mesh.ny = 32\n"
+            "mesh.crack = false\n"
+            "element_order = 2\n"
+            "material.lambda = 1\n"
+            "material.mu = 1\n"
+            "material.gamma = 1\n"
+            "material.fiber_angle = 0\n"
+            "material.a = 0.5\n"
+            "material.b = 0.02\n"
+            "material.alpha_T = 0.01\n"
+            "material.k = 1\n"
+            "thermal_bc.kind = constant\n"
+            "thermal_bc.theta0 = 100\n"
+            "thermal_bc.c = 400\n"
+            "thermal_bc.Q = 0\n"
+            "mechanical_bc.top_uy = 0\n"
+            "picard.tol = 1e-08\n"
+            "picard.max_iter = 100\n"
+            "picard.damping = 1\n")
+
+
+def test_readme_key_table_matches_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = []
+    for line in readme.splitlines():
+        if line.startswith("| `"):
+            listed += re.findall(r"`([^`]+)`", line.split("|")[1])
+    assert sorted(listed) == sorted(_KEYS)
 
 
 class TestRunSingle:

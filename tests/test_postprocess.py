@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from sltfem import (
 from sltfem.assembly import FEField, FESpace
 from sltfem.config import RunConfig, run_single
 from sltfem.constitutive import stress_from_strain_m
-from sltfem.postprocess import _principal_values
+from sltfem.postprocess import NodalField, _principal_values
 from sltfem.tensors import SQRT2, energy_norm_m
 
 
@@ -111,7 +113,7 @@ class TestRunSweep:
     def test_single_value_matches_plain_run(self):
         cfg = RunConfig(nx=4, ny=4, Q=100.0)
         rows = run_sweep(cfg, "b", [0.0])
-        plain = run_single(cfg.with_material(b=0.0))
+        plain = run_single(replace(cfg, b=0.0))
         assert rows[0].max_stress_norm == pytest.approx(
             float(plain.fields["stress_norm"].values.max()))
         assert rows[0].converged
@@ -151,6 +153,58 @@ class TestWriteVtk:
         assert "POINTS 27 double" in text
         n_blocks = text.count("SCALARS ") + text.count("TENSORS ") + text.count("VECTORS ")
         assert n_blocks == len(fields)
+
+    def test_golden_bytes(self, tmp_path):
+        mesh = build_grid(1, 1)
+        third = 1.0 / 3.0
+        values = {
+            "s": np.array([third, -0.0, 1e-300, 2.5]),
+            "v": np.array([[third, -0.0], [1e-300, -1.0], [0.1, 2.0], [-1e300, 0.0]]),
+            "t": np.array([[third, -0.0, 1.0], [1e-300, 2.0, -0.0],
+                           [0.1, 0.2, SQRT2], [-5.0, 1e-300, third]]),
+        }
+        fields = {name: NodalField(mesh, vals, name) for name, vals in values.items()}
+        path = tmp_path / "golden.vtk"
+        write_vtk(fields, mesh, path)
+        assert path.read_bytes() == (
+            b"# vtk DataFile Version 3.0\n"
+            b"sltfem output\n"
+            b"ASCII\n"
+            b"DATASET UNSTRUCTURED_GRID\n"
+            b"POINTS 4 double\n"
+            b"0 0 0\n"
+            b"1 0 0\n"
+            b"0 1 0\n"
+            b"1 1 0\n"
+            b"CELLS 1 5\n"
+            b"4 0 1 3 2\n"
+            b"CELL_TYPES 1\n"
+            b"9\n"
+            b"POINT_DATA 4\n"
+            b"SCALARS s double 1\n"
+            b"LOOKUP_TABLE default\n"
+            b"0.33333333333333331\n"
+            b"-0\n"
+            b"1e-300\n"
+            b"2.5\n"
+            b"VECTORS v double\n"
+            b"0.33333333333333331 -0 0\n"
+            b"1e-300 -1 0\n"
+            b"0.10000000000000001 2 0\n"
+            b"-1.0000000000000001e+300 0 0\n"
+            b"TENSORS t double\n"
+            b"0.33333333333333331 0.70710678118654746 0\n"
+            b"0.70710678118654746 -0 0\n"
+            b"0 0 0\n"
+            b"1e-300 -0 0\n"
+            b"-0 2 0\n"
+            b"0 0 0\n"
+            b"0.10000000000000001 1 0\n"
+            b"1 0.20000000000000001 0\n"
+            b"0 0 0\n"
+            b"-5 0.23570226039551581 0\n"
+            b"0.23570226039551581 1e-300 0\n"
+            b"0 0 0\n")
 
 
 class TestWriteCsv:

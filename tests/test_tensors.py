@@ -5,42 +5,43 @@ from sltfem import (
     Compliance3,
     NotPositiveDefinite,
     Stiffness3,
-    SymTensor2,
     build_compliance,
     build_stiffness,
-    energy_norm,
+    energy_norm_m,
 )
-from sltfem.tensors import energy_norm_m, structural_mandel
+from sltfem.postprocess import _principal_values
+from sltfem.tensors import SQRT2, structural_mandel
 
 
 def random_sym(rng, scale=1.0):
-    return SymTensor2.from_mandel(rng.normal(scale=scale, size=3))
+    return rng.normal(scale=scale, size=3)
 
 
-class TestSymTensor2:
+def to_matrix(m):
+    """The symmetric 2x2 tensor of a Mandel vector (t11, t22, sqrt(2)*t12)."""
+    off = m[2] / SQRT2
+    return np.array([[m[0], off], [off, m[1]]])
+
+
+class TestMandelVector:
     def test_frobenius_equals_mandel_norm(self):
         rng = np.random.default_rng(7)
         for _ in range(10_000):
             m = rng.normal(size=3)
-            t = SymTensor2.from_mandel(m)
-            frob = np.sqrt(np.sum(t.to_matrix() ** 2))
-            assert abs(frob - t.norm()) <= 1e-14 * max(1.0, frob)
+            frob = np.sqrt(np.sum(to_matrix(m) ** 2))
+            assert abs(frob - np.linalg.norm(m)) <= 1e-14 * max(1.0, frob)
 
     def test_double_contraction_is_dot(self):
         rng = np.random.default_rng(8)
         for _ in range(1000):
             a = random_sym(rng)
             b = random_sym(rng)
-            ab = np.sum(a.to_matrix() * b.to_matrix())
-            assert ab == pytest.approx(a.dot(b), rel=1e-13, abs=1e-13)
-
-    def test_matrix_round_trip(self):
-        t = SymTensor2(1.0, -2.0, 0.7)
-        assert SymTensor2.from_matrix(t.to_matrix()) == t
+            ab = np.sum(to_matrix(a) * to_matrix(b))
+            assert ab == pytest.approx(float(a @ b), rel=1e-13, abs=1e-13)
 
     def test_principal_values(self):
-        t = SymTensor2.from_matrix([[2.0, 1.0], [1.0, 2.0]])
-        pmax, pmin = t.principal_values()
+        # [[2, 1], [1, 2]] in Mandel form
+        pmax, pmin = _principal_values(np.array([2.0, 2.0, SQRT2]))
         assert pmax == pytest.approx(3.0)
         assert pmin == pytest.approx(1.0)
 
@@ -52,23 +53,23 @@ class TestBuildStiffness:
 
     def test_isotropic_on_identity_strain(self):
         E = build_stiffness(lam=1.0, mu=1.0, gamma=0.0)
-        sig = E.apply(SymTensor2(1.0, 1.0, 0.0))
-        assert np.allclose(sig.mandel, [4.0, 4.0, 0.0])
+        sig = E.entries @ np.array([1.0, 1.0, 0.0])
+        assert np.allclose(sig, [4.0, 4.0, 0.0])
 
     def test_fiber_term(self):
         # 2*eps + tr(eps)*I + (eps:M)*M with eps = e1(x)e1, m = e1
         E = build_stiffness(lam=1.0, mu=1.0, gamma=1.0, fiber_angle=0.0)
-        sig = E.apply(SymTensor2(1.0, 0.0, 0.0))
-        assert np.allclose(sig.mandel, [4.0, 1.0, 0.0])
+        sig = E.entries @ np.array([1.0, 0.0, 0.0])
+        assert np.allclose(sig, [4.0, 1.0, 0.0])
 
     def test_gamma_zero_matches_lame_componentwise(self):
         rng = np.random.default_rng(11)
         E = build_stiffness(lam=1.3, mu=0.8, gamma=0.0)
         for _ in range(200):
             eps = random_sym(rng)
-            t = eps.to_matrix()
+            t = to_matrix(eps)
             expected = 2 * 0.8 * t + 1.3 * np.trace(t) * np.eye(2)
-            assert np.allclose(E.apply(eps).to_matrix(), expected, atol=1e-13)
+            assert np.allclose(to_matrix(E.entries @ eps), expected, atol=1e-13)
 
     def test_rejects_non_spd(self):
         with pytest.raises(NotPositiveDefinite):
@@ -111,23 +112,23 @@ class TestBuildCompliance:
 class TestEnergyNorm:
     def test_zero(self):
         E = build_stiffness(1.0, 1.0, 1.0)
-        assert energy_norm(SymTensor2(0.0, 0.0, 0.0), E) == 0.0
+        assert energy_norm_m(np.zeros(3), E.entries) == 0.0
 
     def test_identity_reduces_to_frobenius(self):
         E = Stiffness3(np.eye(3))
-        assert energy_norm(SymTensor2(3.0, 4.0, 0.0), E) == pytest.approx(5.0)
+        assert energy_norm_m(np.array([3.0, 4.0, 0.0]), E.entries) == pytest.approx(5.0)
 
     def test_diagonal_quadratic_form(self):
         E = Stiffness3(np.diag([4.0, 1.0, 2.0]))
-        assert energy_norm(SymTensor2(1.0, 1.0, 1.0), E) == pytest.approx(np.sqrt(7.0))
+        assert energy_norm_m(np.ones(3), E.entries) == pytest.approx(np.sqrt(7.0))
 
     def test_squared_norm_is_quadratic_form(self):
         rng = np.random.default_rng(5)
         E = build_stiffness(1.0, 1.0, 1.0, 0.4)
         for _ in range(1000):
             eps = random_sym(rng, scale=3.0)
-            q = eps.dot(E.apply(eps))
-            assert energy_norm(eps, E) ** 2 == pytest.approx(q, rel=1e-12)
+            q = float(eps @ (E.entries @ eps))
+            assert float(energy_norm_m(eps, E.entries)) ** 2 == pytest.approx(q, rel=1e-12)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(6)
@@ -135,4 +136,4 @@ class TestEnergyNorm:
         eps = rng.normal(size=(50, 3))
         batch = energy_norm_m(eps, E.entries)
         for m, t in zip(eps, batch):
-            assert energy_norm(SymTensor2.from_mandel(m), E) == pytest.approx(t)
+            assert energy_norm_m(m, E.entries) == pytest.approx(t)
