@@ -371,16 +371,29 @@ def mechanical_dirichlet(space: FESpace, bc: MechanicalBC) -> dict[int, float]:
     return dirichlet
 
 
+def thermal_load(space: FESpace, p: MaterialParams, theta: FEField | None) -> np.ndarray:
+    """Thermal-gradient body force f_i = -alpha int grad(theta) . v_i, before elimination."""
+    f = np.zeros(space.n_dofs)
+    if theta is not None:
+        grad_t = scalar_gradients(theta)
+        f_local = -p.alpha * np.einsum("eqi,qa,eq->eai", grad_t, space.N, space.detJxW)
+        vdofs = space.vector_dofs(space.element_dofs)          # (ne, nloc, 2)
+        np.add.at(f, vdofs.ravel(), f_local.ravel())
+    return f
+
+
 def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None,
                         u_prev: FEField, bc: MechanicalBC,
                         B: np.ndarray | None = None,
-                        plan: AssemblyPlan | None = None) -> tuple[LinearSystem, int]:
+                        plan: AssemblyPlan | None = None,
+                        f: np.ndarray | None = None) -> tuple[LinearSystem, int]:
     """Picard-linearized elasticity with the thermal-gradient body force.
 
     The nonlinear multiplier phi is evaluated from u_prev at each quadrature
     point. Returns the reduced system and the number of clamp events. A
-    solve that assembles repeatedly passes B and
-    plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc)), built once.
+    solve that assembles repeatedly passes B,
+    plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc)) and
+    f = thermal_load(space, p, theta), each built once.
     """
     if space.components != 2:
         raise ValueError("mechanical problem needs a 2-vector space")
@@ -388,6 +401,8 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
         B = strain_displacement(space)
     if plan is None:
         plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
+    if f is None:
+        f = thermal_load(space, p, theta)
 
     eps_prev = strains_at_qps(u_prev, B)
     t_prev = energy_norm_m(eps_prev, p.E.entries)
@@ -397,13 +412,7 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
     ne, _, _, m = B.shape
     EB = (p.E.entries @ B) * scale[..., None, None]
     k_local = B.reshape(ne, -1, m).transpose(0, 2, 1) @ EB.reshape(ne, -1, m)
-
-    f = np.zeros(space.n_dofs)
-    if theta is not None:
-        grad_t = scalar_gradients(theta)
-        f_local = -p.alpha * np.einsum("eqi,qa,eq->eai", grad_t, space.N, space.detJxW)
-        vdofs = space.vector_dofs(space.element_dofs)          # (ne, nloc, 2)
-        np.add.at(f, vdofs.ravel(), f_local.ravel())
+    del EB   # freed before the scatter, which holds the global matrix
     return plan.eliminate(plan.assemble(k_local), f), clamps
 
 

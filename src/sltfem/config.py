@@ -190,9 +190,6 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     return _validate(cfg, lines={k: ln for k, (_, ln) in raw.items()})
 
 
-# Keys written only when set; sweep.values is written with sweep.parameter.
-_OPTIONAL = ("vtk_path", "csv_path", "sweep_parameter")
-
 _FORMAT = {
     float: "{:.17g}".format,
     _parse_bool: lambda v: "true" if v else "false",
@@ -201,15 +198,16 @@ _FORMAT = {
 
 
 def _key_value(cfg: RunConfig, attr: str):
-    """Value of a _KEYS attribute in cfg, or None if its key is left out."""
+    """Value of a _KEYS attribute in cfg, or None if its key is left out:
+    an unset output path or sweep parameter, empty sweep values, or the
+    crack geometry of an uncracked mesh."""
     if attr == "crack":
         return cfg.crack is not None
     if attr.startswith("crack."):
         return None if cfg.crack is None else getattr(cfg.crack, attr[len("crack."):])
     if attr == "sweep_values":
-        return cfg.sweep_values if cfg.sweep_parameter else None
-    value = getattr(cfg, attr)
-    return None if attr in _OPTIONAL and not value else value
+        return cfg.sweep_values or None
+    return getattr(cfg, attr)
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -114,6 +114,16 @@ class TestRoundTrip:
         cfg = RunConfig()
         assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_sweep_values_without_parameter(self):
+        cfg = parse_config("sweep.values = 0.1, 0.2\n")
+        assert cfg.sweep_values == (0.1, 0.2)
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_empty_output_path(self):
+        cfg = parse_config("outputs.vtk_path =\n")
+        assert cfg.vtk_path == ""
+        assert parse_config(serialize_config(cfg)) == cfg
+
 
 class TestSerializeGolden:
     def test_every_optional_key_set(self):

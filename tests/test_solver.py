@@ -1,10 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sltfem import MaterialParams, build_cracked_grid
-from sltfem.assembly import FEField, FESpace, LinearSystem, MechanicalBC, ThermalBC, l2_norm
-from sltfem.solver import PicardConfig, linear_solve, picard_solve, solve_thermal
+from sltfem.assembly import (
+    FEField,
+    FESpace,
+    LinearSystem,
+    MechanicalBC,
+    ThermalBC,
+    assemble_mechanical,
+    l2_norm,
+)
+from sltfem.solver import (
+    PicardConfig,
+    Preconditioner,
+    SolveReport,
+    linear_solve,
+    picard_solve,
+    solve_thermal,
+)
 
 
 def make_params(**kw):
@@ -55,11 +73,26 @@ class TestLinearSolve:
 
     def test_residual_contract(self):
         space, p, theta = cracked_setup(8)
-        from sltfem.assembly import assemble_mechanical
         sys, _ = assemble_mechanical(space, p, theta, FEField.zero(space), MechanicalBC())
         x = linear_solve(sys)
         res = np.linalg.norm(sys.matrix @ x - sys.rhs) / np.linalg.norm(sys.rhs)
         assert res <= 1e-12
+
+    def test_mismatched_factor_falls_back_to_a_fresh_one(self):
+        space, p, theta = cracked_setup(8)
+        sys, _ = assemble_mechanical(space, p, theta, FEField.zero(space), MechanicalBC())
+        stale = spla.splu(sp.identity(sys.rhs.size, format="csc"))
+        precond = Preconditioner(stale)
+        report = SolveReport()
+        x = linear_solve(sys, report, precond=precond)
+        res = np.linalg.norm(sys.matrix @ x - sys.rhs) / np.linalg.norm(sys.rhs)
+        assert res <= 1e-12
+        assert report.factorizations == 1
+        assert precond.lu is not None and precond.lu is not stale
+        # The fresh factor is the preconditioner of the next solve.
+        x2 = linear_solve(sys, report, x0=np.zeros_like(x), precond=precond)
+        assert report.factorizations == 1
+        assert np.linalg.norm(sys.matrix @ x2 - sys.rhs) <= 1e-12 * np.linalg.norm(sys.rhs)
 
 
 class TestPicard:
@@ -95,7 +128,6 @@ class TestPicard:
         cfg = PicardConfig(tol=1e-8)
         u, report = picard_solve(space, p, theta, MechanicalBC(), cfg)
         assert report.converged
-        from sltfem.assembly import assemble_mechanical
         sys, _ = assemble_mechanical(space, p, theta, u, MechanicalBC())
         x = linear_solve(sys)
         assert l2_norm(space, x - u.values) < 10 * cfg.tol
@@ -133,3 +165,32 @@ class TestPicard:
         assert r1.converged and r2.converged
         rel = l2_norm(space, u1.values - u2.values) / l2_norm(space, u1.values)
         assert rel < 1e-6
+
+    def test_reused_factor_matches_fresh_factors(self):
+        space, p, theta = cracked_setup(8)
+        bc = MechanicalBC()
+        u, report = picard_solve(space, p, theta, bc)
+        assert report.converged
+        assert max(report.linear_solve_stats) <= 1e-12
+
+        # Plain Picard: every system factored afresh.
+        sys, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc)
+        ref = FEField(space, linear_solve(sys))
+        increments = []
+        for _ in range(PicardConfig().max_iter):
+            sys, _ = assemble_mechanical(space, p, theta, ref, bc)
+            x = linear_solve(sys)
+            increments.append(l2_norm(space, x - ref.values))
+            ref = FEField(space, x)
+            if increments[-1] < PicardConfig().tol:
+                break
+        assert report.iterations == len(increments)
+        inc, inc_ref = np.array(report.increments), np.array(increments)
+        assert np.linalg.norm(inc - inc_ref) <= 1e-10 * np.linalg.norm(inc_ref)
+        assert np.linalg.norm(u.values - ref.values) <= 1e-10 * np.linalg.norm(ref.values)
+
+    def test_factors_once(self):
+        space, p, theta = cracked_setup(8)
+        _, report = picard_solve(space, p, theta, MechanicalBC())
+        assert report.converged
+        assert report.factorizations == 1
