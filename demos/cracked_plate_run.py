@@ -16,7 +16,7 @@ cfg = RunConfig(nx=32, ny=32, Q=100.0, b=0.02, a=0.5)
 result = run_single(cfg)
 
 rep = result.report
-print(f"Picard: {rep.iterations} iterations, converged={rep.converged}, "
+print(f"Newton: {rep.iterations} iterations, converged={rep.converged}, "
       f"clamp events={rep.clamp_events}")
 print("increments:", " ".join(f"{v:.2e}" for v in rep.increments))
 

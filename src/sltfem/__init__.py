@@ -1,7 +1,7 @@
 """2D Galerkin FE solver for thermo-elasticity in transversely isotropic
 strain-limiting materials: edge-cracked plates under thermal and mechanical
-loading, solved sequentially (linear heat conduction, then Picard iteration
-on the nonlinear momentum balance)."""
+loading, solved sequentially (linear heat conduction, then Newton's method
+on the energy of the nonlinear momentum balance)."""
 
 from .assembly import (
     FEField,
@@ -52,7 +52,14 @@ from .postprocess import (
     write_csv,
     write_vtk,
 )
-from .solver import PicardConfig, SolveReport, linear_solve, picard_solve, solve_thermal
+from .solver import (
+    PicardConfig,
+    SolveReport,
+    linear_solve,
+    newton_solve,
+    picard_solve,
+    solve_thermal,
+)
 from .tensors import (
     Compliance3,
     Stiffness3,

@@ -386,14 +386,19 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
                         u_prev: FEField, bc: MechanicalBC,
                         B: np.ndarray | None = None,
                         plan: AssemblyPlan | None = None,
-                        f: np.ndarray | None = None) -> tuple[LinearSystem, int]:
-    """Picard-linearized elasticity with the thermal-gradient body force.
+                        f: np.ndarray | None = None,
+                        tangent: bool = False) -> tuple[LinearSystem, int]:
+    """Elasticity linearized at u_prev, with the thermal-gradient body force.
 
-    The nonlinear multiplier phi is evaluated from u_prev at each quadrature
-    point. Returns the reduced system and the number of clamp events. A
-    solve that assembles repeatedly passes B,
-    plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc)) and
-    f = thermal_load(space, p, theta), each built once.
+    By default the Picard system: the multiplier phi is evaluated from u_prev
+    at each quadrature point and frozen, and the load is f. With tangent=True,
+    the Newton system: the consistent tangent
+    dsigma/deps = phi E + (phi'/t)(E eps)(E eps)^T and the load
+    f - F_int(u_prev) + K_T u_prev, with F_int = sum_q B^T sigma detJ w, so the
+    solution x gives the Newton direction x - u_prev. Returns the reduced
+    system and the number of clamp events. A solve that assembles repeatedly
+    passes B, plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
+    and f = thermal_load(space, p, theta), each built once.
     """
     if space.components != 2:
         raise ValueError("mechanical problem needs a 2-vector space")
@@ -408,12 +413,28 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
     t_prev = energy_norm_m(eps_prev, p.E.entries)
     phi, clamps = relaxation_factor_m(t_prev, p)
     scale = phi * space.detJxW
-    # k_e = sum_q B_q^T (phi detJ w E) B_q, one (m, 3 nqp) @ (3 nqp, m) product
+    # k_e = sum_q B_q^T (C detJ w) B_q, one (m, 3 nqp) @ (3 nqp, m) product
     ne, _, _, m = B.shape
     EB = (p.E.entries @ B) * scale[..., None, None]
+    if tangent:
+        # (phi'/t)(E eps)(E eps)^T = k n n^T with n = E eps / t and
+        # k = (b t)^a phi^(1+a); n = 0 at t = 0, where phi'/t is infinite for a < 2
+        E_eps = eps_prev @ p.E.entries
+        n = np.divide(E_eps, t_prev[..., None], out=np.zeros_like(E_eps),
+                      where=t_prev[..., None] > 0.0)
+        k = (p.b * t_prev) ** p.a * phi ** (1.0 + p.a) * space.detJxW
+        nB = np.einsum("eqi,eqim->eqm", n, B)
+        for i in range(3):
+            EB[:, :, i, :] += (k * n[..., i])[..., None] * nB
+        f_int = np.einsum("eqim,eqi->em", B, E_eps * scale[..., None])
     k_local = B.reshape(ne, -1, m).transpose(0, 2, 1) @ EB.reshape(ne, -1, m)
     del EB   # freed before the scatter, which holds the global matrix
-    return plan.eliminate(plan.assemble(k_local), f), clamps
+    K = plan.assemble(k_local)
+    if tangent:
+        vdofs = space.vector_dofs(space.element_dofs).ravel()
+        f = f - np.bincount(vdofs, weights=f_int.ravel(), minlength=space.n_dofs)
+        f += K @ u_prev.values
+    return plan.eliminate(K, f), clamps
 
 
 def mass_matrix(space: FESpace) -> sp.csr_matrix:

@@ -1,6 +1,6 @@
 """Command-line entry point: solve, sweep, reproduce, mesh-dump.
 
-Exit status: 0 success, 2 Picard did not converge, 1 any other error.
+Exit status: 0 success, 2 the nonlinear iteration did not converge, 1 any other error.
 """
 
 from __future__ import annotations

@@ -13,7 +13,14 @@ from .assembly import FESpace, MechanicalBC, ThermalBC
 from .constitutive import MaterialParams
 from .errors import InvariantViolation, TypeMismatch, UnknownKey
 from .mesh import CrackedMesh, CrackSpec, build_cracked_grid, build_grid
-from .solver import FEField, PicardConfig, SolveReport, picard_solve, solve_thermal
+from .solver import (  # noqa: F401 -- picard_solve stays in this namespace for wrappers
+    FEField,
+    PicardConfig,
+    SolveReport,
+    newton_solve,
+    picard_solve,
+    solve_thermal,
+)
 
 
 @dataclass(frozen=True)
@@ -237,7 +244,7 @@ class RunResult:
 
 
 def run_single(cfg: RunConfig) -> RunResult:
-    """Thermal solve, Picard mechanical solve, field recovery."""
+    """Thermal solve, Newton mechanical solve, field recovery."""
     from .postprocess import recover_fields
 
     mesh = cfg.build_mesh()
@@ -245,6 +252,6 @@ def run_single(cfg: RunConfig) -> RunResult:
     theta_space = FESpace(mesh, order=cfg.element_order, components=1)
     u_space = FESpace(mesh, order=cfg.element_order, components=2)
     theta = solve_thermal(theta_space, p, Q_source=cfg.Q, bc=cfg.thermal_bc())
-    u, report = picard_solve(u_space, p, theta, cfg.mechanical_bc(), cfg.picard())
+    u, report = newton_solve(u_space, p, theta, cfg.mechanical_bc(), cfg.picard())
     fields = recover_fields(u, theta, p)
     return RunResult(config=cfg, mesh=mesh, theta=theta, u=u, report=report, fields=fields)

@@ -94,7 +94,7 @@ def strain_from_stress_m(sigma_m: np.ndarray, p: MaterialParams) -> np.ndarray:
 
 
 def relaxation_factor_m(t_prev: np.ndarray, p: MaterialParams) -> tuple[np.ndarray, int]:
-    """Picard multiplier phi(t) = (1 - (b*t)^a)^(-1/a) with clamping.
+    """Relaxation multiplier phi(t) = (1 - (b*t)^a)^(-1/a) with clamping.
 
     Energy norms from intermediate iterates may overshoot the admissible
     set; they are clamped to (1 - DELTA_GUARD)/b so the fixed-point

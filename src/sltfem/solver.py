@@ -1,7 +1,8 @@
-"""Linear solve contract and the Picard driver for the nonlinear mechanics."""
+"""Linear solve contract and the Newton and Picard drivers for the nonlinear mechanics."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,20 +22,28 @@ from .assembly import (
     mass_matrix,
     mechanical_dirichlet,
     strain_displacement,
+    strains_at_qps,
     thermal_load,
 )
-from .constitutive import MaterialParams
-from .errors import SolverBreakdown
+from .constitutive import DELTA_GUARD, MaterialParams, strain_energy_density_m
+from .errors import InadmissibleStrain, SolverBreakdown
+from .tensors import energy_norm_m
 
 _RESIDUAL_TOL = 1e-12
+_EPS = np.finfo(np.float64).eps
 # Preconditioned CG iterations a held factor gets per linear solve before the
 # system is factored afresh; one factorization costs 15 to 25 of them.
 _CG_BUDGET = 30
+# CG iterations of a pass before its mean contraction rate can end it early.
+_CG_JUDGE = 5
+# Shortest step, relative to the first trial, a Newton line search tries.
+_MIN_STEP = 2.0**-20
 
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Fixed-point iteration controls."""
+    """Nonlinear iteration controls: increment tolerance, iteration cap, and
+    the Picard under-relaxation factor or Newton's first trial step."""
 
     tol: float = 1e-8
     max_iter: int = 100
@@ -51,13 +60,16 @@ class PicardConfig:
 
 @dataclass
 class SolveReport:
-    """Picard iteration history; per linear solve, the relative residual of its
-    solution (linear_solve_stats) and its triangular solves beyond one per
-    factorization (refine_steps: refinement steps and CG iterations); the
-    number of SuperLU factorizations (factorizations)."""
+    """Nonlinear iteration history: per iteration, the L2 increment and, for
+    Newton, the relative nonlinear residual at its iterate (residuals); per
+    linear solve, the relative residual of its solution (linear_solve_stats)
+    and its triangular solves beyond one per factorization (refine_steps:
+    refinement steps and CG iterations); the number of SuperLU
+    factorizations (factorizations)."""
 
     iterations: int = 0
     increments: list[float] = field(default_factory=list)
+    residuals: list[float] = field(default_factory=list)
     converged: bool = False
     clamp_events: int = 0
     linear_solve_stats: list[float] = field(default_factory=list)
@@ -88,6 +100,7 @@ class _Residual:
         self._Aw = sp.csr_matrix((A.data.astype(np.longdouble), A.indices, A.indptr),
                                  shape=A.shape)
         self._bw = b.astype(np.longdouble)
+        self._absA = None   # built at the first floor(), after any factorization
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         r = np.asarray(self._bw - self._Aw @ x.astype(np.longdouble), dtype=np.float64)
@@ -96,9 +109,10 @@ class _Residual:
     def floor(self, x: np.ndarray) -> float:
         # A rounded double vector cannot beat the cancellation floor
         # eps * || |A| |x| || / ||b||, however ill-conditioned the mesh.
-        A = self.A
-        absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
-        return np.finfo(np.float64).eps * np.linalg.norm(absA @ np.abs(x)) / self.scale
+        if self._absA is None:
+            A = self.A
+            self._absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
+        return _EPS * np.linalg.norm(self._absA @ np.abs(x)) / self.scale
 
 
 def _meets_contract(res: float, floor: float) -> bool:
@@ -123,15 +137,15 @@ def _factored_solve(A: sp.csr_matrix, b: np.ndarray, residual: _Residual):
     for _ in range(10):
         if res <= _RESIDUAL_TOL:
             break
-        x = x + lu.solve(r)
+        y = x + lu.solve(r)
         steps += 1
-        r, new_res = residual(x)
+        r, new_res = residual(y)
         if new_res >= res:
-            break
-        res = new_res
+            break   # keep x, whose residual res is the one checked
+        x, res = y, new_res
     if not _meets_contract(res, residual.floor(x)):
         raise SolverBreakdown(f"relative residual {res:.3e} exceeds {_RESIDUAL_TOL}")
-    return x, np.linalg.norm(r) / residual.scale, steps, lu
+    return x, res, steps, lu
 
 
 def _preconditioned_cg(A: sp.csr_matrix, x: np.ndarray, lu, residual: _Residual):
@@ -140,7 +154,8 @@ def _preconditioned_cg(A: sp.csr_matrix, x: np.ndarray, lu, residual: _Residual)
     A pass stops its recursive residual at max(0.1 tol, floor)·||b||; passes
     go on while the long-double residual falls. Returns x, its relative
     residual and the CG iterations, with x None if the contract is missed
-    within _CG_BUDGET iterations.
+    within _CG_BUDGET iterations, or once a pass of at least _CG_JUDGE
+    iterations, contracting at its mean rate so far, would miss it.
     """
     r, res = residual(x)
     iterations = 0
@@ -151,17 +166,23 @@ def _preconditioned_cg(A: sp.csr_matrix, x: np.ndarray, lu, residual: _Residual)
         if iterations >= _CG_BUDGET:
             return None, res, iterations
         stop = max(0.1 * _RESIDUAL_TOL, floor) * residual.scale
+        goal = max(_RESIDUAL_TOL, 10.0 * floor) * residual.scale
+        r_start = np.linalg.norm(r)
         y = x.copy()
         z = lu.solve(r)
         iterations += 1
         p, rz = z, r @ z
-        while True:
+        for k in itertools.count(1):
             q = A @ p
             alpha = rz / (p @ q)
             y += alpha * p
             r -= alpha * q
-            if np.linalg.norm(r) <= stop or iterations >= _CG_BUDGET:
+            r_norm = np.linalg.norm(r)
+            if r_norm <= stop or iterations >= _CG_BUDGET:
                 break
+            if (k >= _CG_JUDGE and r_norm * (r_norm / r_start)
+                    ** ((_CG_BUDGET - iterations) / k) > goal):
+                return None, res, iterations
             z = lu.solve(r)
             iterations += 1
             rz, rz_prev = r @ z, rz
@@ -219,6 +240,38 @@ def solve_thermal(space: FESpace, p: MaterialParams, Q_source=0.0,
     return FEField(space, linear_solve(sys))
 
 
+@dataclass
+class _Start:
+    """Set-up shared by the nonlinear solvers, and the b = 0 solution u they
+    start from; load is the norm of the free part of the b = 0 right-hand
+    side (1 if it is zero)."""
+
+    report: SolveReport
+    B: np.ndarray
+    M: sp.csr_matrix
+    plan: AssemblyPlan
+    f: np.ndarray
+    precond: Preconditioner
+    u: FEField
+    load: float
+
+
+def _linear_start(space: FESpace, p: MaterialParams, theta: FEField | None,
+                  bc: MechanicalBC) -> _Start:
+    report = SolveReport()
+    B = strain_displacement(space)
+    M = mass_matrix(space)
+    plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
+    f = thermal_load(space, p, theta)
+    precond = Preconditioner()
+    p_lin = p if p.b == 0.0 else replace(p, b=0.0)
+    sys, _ = assemble_mechanical(space, p_lin, theta, FEField.zero(space), bc,
+                                 B=B, plan=plan, f=f)
+    u = FEField(space, linear_solve(sys, report, precond=precond))
+    load = float(np.linalg.norm(sys.rhs[~plan.fixed]))
+    return _Start(report, B, M, plan, f, precond, u, load or 1.0)
+
+
 def picard_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
                  bc: MechanicalBC, cfg: PicardConfig = PicardConfig()
                  ) -> tuple[FEField, SolveReport]:
@@ -230,26 +283,17 @@ def picard_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
     The increment norm is the L2 norm of the displacement difference
     (consistent mass matrix). Non-convergence is reported, not raised.
     """
-    report = SolveReport()
-    B = strain_displacement(space)
-    M = mass_matrix(space)
-    plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
-    f = thermal_load(space, p, theta)
-    precond = Preconditioner()
-
-    p_lin = p if p.b == 0.0 else replace(p, b=0.0)
-    sys, _ = assemble_mechanical(space, p_lin, theta, FEField.zero(space), bc,
-                                 B=B, plan=plan, f=f)
-    u = FEField(space, linear_solve(sys, report, precond=precond))
-
+    start = _linear_start(space, p, theta, bc)
+    report, u = start.report, start.u
     omega = cfg.damping
     for _ in range(cfg.max_iter):
         sys = None   # freed before the next assembly, while the held LU is alive
-        sys, clamps = assemble_mechanical(space, p, theta, u, bc, B=B, plan=plan, f=f)
+        sys, clamps = assemble_mechanical(space, p, theta, u, bc, B=start.B,
+                                          plan=start.plan, f=start.f)
         report.clamp_events += clamps
-        x = linear_solve(sys, report, x0=u.values, precond=precond)
+        x = linear_solve(sys, report, x0=u.values, precond=start.precond)
         u_new = omega * x + (1.0 - omega) * u.values
-        inc = l2_norm(space, u_new - u.values, M=M)
+        inc = l2_norm(space, u_new - u.values, M=start.M)
         report.increments.append(inc)
         report.iterations += 1
         u = FEField(space, u_new)
@@ -258,3 +302,102 @@ def picard_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
             break
     return u, report
 
+
+def _peak_bt(u: FEField, p: MaterialParams, B: np.ndarray) -> tuple[float, tuple]:
+    """Peak b*t over the quadrature points, and its (x, y)."""
+    t = energy_norm_m(strains_at_qps(u, B), p.E.entries)
+    e, q = np.unravel_index(int(np.argmax(t)), t.shape)
+    x, y = u.space.qp_xy[e, q]
+    return p.b * float(t[e, q]), (round(float(x), 6), round(float(y), 6))
+
+
+def _admissible_start(start: _Start, p: MaterialParams) -> FEField:
+    """The b = 0 solution, or, if it violates the strain limit, its free part
+    scaled toward the Dirichlet lift, u = lift + s (u0 - lift), with s halved
+    until peak b*t <= 0.9 (the lift itself after 20 halvings)."""
+    u0 = start.u
+    if _peak_bt(u0, p, start.B)[0] < 1.0 - DELTA_GUARD:
+        return u0
+    lift = FEField(u0.space, start.plan.lift)
+    bt, xy = _peak_bt(lift, p, start.B)
+    if bt >= 1.0 - DELTA_GUARD:
+        raise InadmissibleStrain(
+            bt / p.b, location=f"(x, y) = {xy}: the b = 0 start violates the strain "
+            "limit, and so does the Dirichlet lift it would be scaled toward (the "
+            "prescribed displacements, zero at every free dof); lower "
+            "mechanical_bc.top_uy, thermal_bc.Q or material.b")
+    s = 1.0
+    for _ in range(20):
+        s *= 0.5
+        u = FEField(u0.space, lift.values + s * (u0.values - lift.values))
+        if _peak_bt(u, p, start.B)[0] <= 0.9:
+            return u
+    return lift
+
+
+def _energy(u: FEField, p: MaterialParams, B: np.ndarray, f: np.ndarray) -> float:
+    """Pi(u) = sum_q W(eps(u)) detJ w - f.u; inf where u violates the strain limit."""
+    try:
+        W = strain_energy_density_m(strains_at_qps(u, B), p)
+    except InadmissibleStrain:
+        return np.inf
+    return float(np.sum(W * u.space.detJxW) - f @ u.values)
+
+
+def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
+                 bc: MechanicalBC, cfg: PicardConfig = PicardConfig()
+                 ) -> tuple[FEField, SolveReport]:
+    """Newton's method on the potential energy Pi(u) = sum W(eps(u)) detJ w - f.u.
+
+    Starts from the b=0 linear solve, scaled toward the Dirichlet lift if it
+    violates the strain limit (see _admissible_start; InadmissibleStrain if
+    the lift does too). Each step solves the consistent-tangent system, CG
+    preconditioned by the b=0 factor and started from the iterate, and
+    backtracks from step length cfg.damping, halving, until Pi rises by at
+    most 10 eps |Pi|; a point violating the strain limit has Pi = inf, so
+    every iterate is admissible and nothing is clamped. The increment is the
+    L2 norm (consistent mass matrix) of the full Newton direction, and the
+    solve has converged when it is below cfg.tol; report.residuals holds
+    the relative residual ||f - F_int(u)|| / load over the free dofs at each
+    iterate. If no step of at least 2^-20 cfg.damping passes, the last
+    iterate is returned unconverged. Non-convergence is reported, not raised,
+    unless the last iterate lies within 2 DELTA_GUARD of the strain limit:
+    then the load has no solution the guarded law can carry, and
+    InadmissibleStrain names where.
+    """
+    start = _linear_start(space, p, theta, bc)
+    report = start.report
+    u = _admissible_start(start, p)
+    energy = _energy(u, p, start.B, start.f)
+    for _ in range(cfg.max_iter):
+        sys = None   # freed before the next assembly, while the held LU is alive
+        sys, clamps = assemble_mechanical(space, p, theta, u, bc, B=start.B,
+                                          plan=start.plan, f=start.f, tangent=True)
+        report.clamp_events += clamps
+        r = sys.rhs - sys.matrix @ u.values
+        report.residuals.append(float(np.linalg.norm(r)) / start.load)
+        d = linear_solve(sys, report, x0=u.values, precond=start.precond) - u.values
+        inc = l2_norm(space, d, M=start.M)
+        report.increments.append(inc)
+        report.iterations += 1
+        step = cfg.damping
+        while step >= cfg.damping * _MIN_STEP:
+            trial = FEField(space, u.values + step * d)
+            trial_energy = _energy(trial, p, start.B, start.f)
+            if trial_energy <= energy + 10.0 * _EPS * abs(energy):
+                u, energy = trial, trial_energy
+                break
+            step *= 0.5
+        if inc < cfg.tol:
+            report.converged = True
+            break
+        if step < cfg.damping * _MIN_STEP:
+            break
+    if not report.converged:
+        bt, xy = _peak_bt(u, p, start.B)
+        if bt >= 1.0 - 2.0 * DELTA_GUARD:
+            raise InadmissibleStrain(
+                bt / p.b, location=f"(x, y) = {xy}, where the unconverged iterates "
+                "press against the strain limit; lower thermal_bc.Q, "
+                "mechanical_bc.top_uy or material.b")
+    return u, report

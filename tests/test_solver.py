@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sltfem import MaterialParams, build_cracked_grid
+import sltfem.solver
+from sltfem import InadmissibleStrain, MaterialParams, build_cracked_grid
 from sltfem.assembly import (
     FEField,
     FESpace,
@@ -14,15 +16,22 @@ from sltfem.assembly import (
     ThermalBC,
     assemble_mechanical,
     l2_norm,
+    mechanical_dirichlet,
+    strain_displacement,
+    strains_at_qps,
+    thermal_load,
 )
+from sltfem.constitutive import stress_from_strain_m
 from sltfem.solver import (
     PicardConfig,
     Preconditioner,
     SolveReport,
     linear_solve,
+    newton_solve,
     picard_solve,
     solve_thermal,
 )
+from sltfem.tensors import energy_norm_m
 
 
 def make_params(**kw):
@@ -32,13 +41,31 @@ def make_params(**kw):
     return MaterialParams(**defaults)
 
 
-def cracked_setup(n=4, order=2, **paramkw):
+def cracked_setup(n=4, order=2, Q=100.0, **paramkw):
     mesh = build_cracked_grid(n, n)
     p = make_params(**paramkw)
     theta_space = FESpace(mesh, order=order)
-    theta = solve_thermal(theta_space, p, Q_source=100.0, bc=ThermalBC(value=100.0))
+    theta = solve_thermal(theta_space, p, Q_source=Q, bc=ThermalBC(value=100.0))
     u_space = FESpace(mesh, order=order, components=2)
     return u_space, p, theta
+
+
+def internal_force(u, p):
+    """F_int = sum_q B^T sigma detJ w over all dofs, reaction rows included."""
+    space = u.space
+    B = strain_displacement(space)
+    sigma = stress_from_strain_m(strains_at_qps(u, B), p)
+    f_local = np.einsum("eqim,eqi->em", B, sigma * space.detJxW[..., None])
+    dofs = space.vector_dofs(space.element_dofs).ravel()
+    return np.bincount(dofs, weights=f_local.ravel(), minlength=space.n_dofs)
+
+
+def free_residual(u, p, theta, bc):
+    """f - F_int(u) on the free dofs, and the free-dof mask."""
+    space = u.space
+    free = np.ones(space.n_dofs, dtype=bool)
+    free[list(mechanical_dirichlet(space, bc))] = False
+    return (thermal_load(space, p, theta) - internal_force(u, p))[free], free
 
 
 class TestPicardConfig:
@@ -93,6 +120,41 @@ class TestLinearSolve:
         x2 = linear_solve(sys, report, x0=np.zeros_like(x), precond=precond)
         assert report.factorizations == 1
         assert np.linalg.norm(sys.matrix @ x2 - sys.rhs) <= 1e-12 * np.linalg.norm(sys.rhs)
+
+    def test_stalled_refinement_returns_the_checked_iterate(self, monkeypatch):
+        # A = [[1, -1], [-1, 1 + 2^-10]] has x = (1025, 1024) for b = (1, 0), and
+        # cancellation floor eps || |A| |x| || / ||b|| = 6.4e-13. The scripted
+        # factor's iterates x + c (1, 0) have relative residual c sqrt(2):
+        # 2.1e-11 (refined), 2.6e-12 (meets 10x the floor), 1.0e-11 (worse).
+        A = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0 + 2.0**-10]]))
+        exact = np.array([1025.0, 1024.0])
+        targets = [exact + c * np.array([1.0, 0.0]) for c in (2.0**-36, 2.0**-39, 2.0**-37)]
+
+        class ScriptedFactor:
+            x = np.zeros(2)
+
+            def solve(self, rhs):
+                step = targets.pop(0) - self.x
+                self.x = self.x + step
+                return step
+
+        monkeypatch.setattr(sltfem.solver.spla, "splu", lambda *a, **k: ScriptedFactor())
+        report = SolveReport()
+        x = linear_solve(LinearSystem(A, np.array([1.0, 0.0])), report)
+        assert not targets   # the refinement stalled on the third iterate
+        np.testing.assert_array_equal(x, exact + 2.0**-39 * np.array([1.0, 0.0]))
+        assert report.linear_solve_stats == [pytest.approx(2.0**-39 * np.sqrt(2.0), rel=1e-6)]
+
+    def test_cg_gives_up_before_the_budget(self):
+        space, p, theta = cracked_setup(8)
+        sys, _ = assemble_mechanical(space, p, theta, FEField.zero(space), MechanicalBC())
+        identity = spla.splu(sp.identity(sys.rhs.size, format="csc"))
+        report = SolveReport()
+        x = linear_solve(sys, report, precond=Preconditioner(identity))
+        assert report.factorizations == 1
+        assert report.refine_steps[0] < sltfem.solver._CG_BUDGET
+        # The fresh path ignores the start, so the fallback gives a fresh solve's bits.
+        np.testing.assert_array_equal(x, linear_solve(sys))
 
 
 class TestPicard:
@@ -194,3 +256,135 @@ class TestPicard:
         _, report = picard_solve(space, p, theta, MechanicalBC())
         assert report.converged
         assert report.factorizations == 1
+
+
+class TestTangent:
+    @pytest.mark.parametrize("a", [0.5, 1.0])
+    def test_matches_central_difference_of_internal_force(self, a):
+        space, p, theta = cracked_setup(4, a=a, b=0.02)
+        bc = MechanicalBC()
+        u, _ = newton_solve(space, p, theta, bc)
+        u = FEField(space, 1.5 * u.values)   # off equilibrium, 1.5x the strains
+
+        def residual(w):
+            sys, _ = assemble_mechanical(space, p, theta, w, bc)
+            return sys.rhs - sys.matrix @ w.values   # f - F_int on the free dofs
+
+        tangent, _ = assemble_mechanical(space, p, theta, u, bc, tangent=True)
+        # The Newton system carries the same internal force as the secant one.
+        r_newton = tangent.rhs - tangent.matrix @ u.values
+        np.testing.assert_allclose(r_newton, residual(u),
+                                   atol=1e-12 * np.linalg.norm(residual(u)))
+
+        _, free = free_residual(u, p, theta, bc)
+        v = np.where(free, np.random.default_rng(7).normal(size=space.n_dofs), 0.0)
+        v *= np.linalg.norm(u.values) / np.linalg.norm(v)
+        h = 1e-6
+        fd = (residual(FEField(space, u.values - h * v))
+              - residual(FEField(space, u.values + h * v))) / (2 * h)
+        exact = tangent.matrix @ v
+        secant, _ = assemble_mechanical(space, p, theta, u, bc)
+        # The rank-one term is large enough for a wrong phi' to show.
+        assert np.linalg.norm(exact - secant.matrix @ v) > 1e-3 * np.linalg.norm(exact)
+        assert np.linalg.norm(fd - exact) <= 1e-6 * np.linalg.norm(exact)
+
+    def test_finite_at_zero_strain(self):
+        space, p, theta = cracked_setup(4, a=0.5)
+        zero = FEField.zero(space)
+        tangent, _ = assemble_mechanical(space, p, theta, zero, MechanicalBC(), tangent=True)
+        secant, _ = assemble_mechanical(space, p, theta, zero, MechanicalBC())
+        assert np.all(np.isfinite(tangent.matrix.data))
+        np.testing.assert_allclose(tangent.matrix.toarray(), secant.matrix.toarray(),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(tangent.rhs, secant.rhs, rtol=0, atol=1e-14)
+
+
+def peak_bt(u, p):
+    return p.b * float(energy_norm_m(strains_at_qps(u), p.E.entries).max())
+
+
+class TestNewton:
+    def test_matches_picard(self):
+        space, p, theta = cracked_setup(8)
+        bc = MechanicalBC()
+        u, report = newton_solve(space, p, theta, bc)
+        u_ref, ref = picard_solve(space, p, theta, bc)
+        assert report.converged and ref.converged
+        assert report.clamp_events == 0 and report.factorizations == 1
+        assert report.iterations < ref.iterations
+        assert len(report.residuals) == len(report.increments) == report.iterations
+        rel = l2_norm(space, u.values - u_ref.values) / l2_norm(space, u_ref.values)
+        assert rel <= 1e-6
+        r, free = free_residual(u, p, theta, bc)
+        f_free = thermal_load(space, p, theta)[free]
+        assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f_free)
+
+    def test_b_zero_converges_immediately(self):
+        space, p, theta = cracked_setup(4, b=0.0)
+        u, report = newton_solve(space, p, theta, MechanicalBC())
+        assert report.converged
+        assert report.iterations == 1
+        assert report.increments == [0.0]
+        assert report.clamp_events == 0
+
+    def test_inadmissible_start_is_scaled(self):
+        space, p, theta = cracked_setup(8, b=1.0)
+        bc = MechanicalBC()
+        u0, _ = newton_solve(space, replace(p, b=0.0), theta, bc)
+        assert peak_bt(u0, p) > 1.0   # the b = 0 solution violates the limit
+        u, report = newton_solve(space, p, theta, bc)
+        assert report.converged and report.clamp_events == 0
+        assert peak_bt(u, p) < 1.0
+        r, _ = free_residual(u, p, theta, bc)
+        assert np.linalg.norm(r) <= 1e-8 * np.linalg.norm(internal_force(u, p))
+
+    def test_inadmissible_lift_raises(self):
+        space, p, theta = cracked_setup(8, b=0.5)
+        with pytest.raises(InadmissibleStrain, match=r"\(x, y\).*top_uy"):
+            newton_solve(space, p, theta, MechanicalBC(top_uy=3.0))
+
+    def test_failed_line_search_keeps_last_iterate(self, monkeypatch):
+        space, p, theta = cracked_setup(4)
+        bc = MechanicalBC()
+        energy = sltfem.solver._energy
+        calls = []
+
+        def start_only(u, *args):
+            calls.append(u)
+            return energy(u, *args) if len(calls) == 1 else np.inf
+
+        monkeypatch.setattr(sltfem.solver, "_energy", start_only)
+        u, report = newton_solve(space, p, theta, bc)
+        assert not report.converged and report.iterations == 1
+        assert len(calls) == 2 + 20   # the start, then steps 1, 1/2, ..., 2^-20
+        # The returned iterate is the (admissible) b = 0 start.
+        sys, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc)
+        np.testing.assert_array_equal(u.values, linear_solve(sys))
+
+    def test_robustness_grid(self):
+        """Converged with no clamps and a small residual, or an error that says where."""
+        mesh = build_cracked_grid(16, 16)
+        theta_space = FESpace(mesh, order=2)
+        space = FESpace(mesh, order=2, components=2)
+        outcomes = {}
+        for a, b, Q, top_uy in itertools.product((0.1, 0.5, 3.0), (0.02, 0.5),
+                                                  (100.0, 5000.0), (0.0, 3.0)):
+            p = make_params(a=a, b=b)
+            theta = solve_thermal(theta_space, p, Q_source=Q, bc=ThermalBC(value=100.0))
+            bc = MechanicalBC(top_uy=top_uy)
+            try:
+                u, report = newton_solve(space, p, theta, bc)
+            except InadmissibleStrain as exc:
+                assert "(x, y) = (" in str(exc)
+                outcomes[a, b, Q, top_uy] = "raised"
+                continue
+            assert report.converged and report.clamp_events == 0, (a, b, Q, top_uy)
+            assert peak_bt(u, p) < 1.0
+            r, _ = free_residual(u, p, theta, bc)
+            assert np.linalg.norm(r) <= 1e-8 * np.linalg.norm(internal_force(u, p))
+            outcomes[a, b, Q, top_uy] = "converged"
+        # Every case without a prescribed opening converges below the extreme corner
+        # (a = 3, b = 0.5, Q = 5000), whose solution needs b t past 1 - DELTA_GUARD.
+        for key, outcome in outcomes.items():
+            if key[3] == 0.0 and key != (3.0, 0.5, 5000.0, 0.0):
+                assert outcome == "converged", key
