@@ -9,6 +9,7 @@ elimination so the reduced matrix stays SPD.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,10 +197,13 @@ class FEField:
 
 @dataclass
 class LinearSystem:
-    """Reduced sparse system; SPD after Dirichlet elimination."""
+    """Reduced sparse system; SPD after Dirichlet elimination. A Newton
+    system also carries the internal force F_int at its linearization point,
+    over all dofs, reaction rows included."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
+    internal_force: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +252,9 @@ class AssemblyPlan:
     """CSR pattern of a space's global matrix, built once and reused per assembly.
 
     Element matrices are summed into the CSR data through a scatter index,
-    in the order a COO-to-CSR conversion sums them. Given Dirichlet data,
+    in the order a COO-to-CSR conversion sums them. The pattern is sorted
+    from the scalar (row, col) keys; a 2-vector plan expands each scalar
+    entry into its 2x2 block. Given Dirichlet data,
     the plan also holds the pattern left by symmetric elimination, so the
     reduced matrix is the CSR data under a mask. A plan is tied to its space
     and boundary data: build it in the solve that uses it, to be freed with it.
@@ -257,13 +263,32 @@ class AssemblyPlan:
     def __init__(self, space: FESpace, block: int,
                  dirichlet: dict[int, float] | None = None):
         ed = space.element_dofs
-        dofs = ed if block == 1 else space.vector_dofs(ed).reshape(ed.shape[0], -1)
-        self.n = n = block * space.n_scalar_dofs
-        m = dofs.shape[1]
-        keys = (np.repeat(dofs, m, axis=1) * n + np.tile(dofs, (1, m))).ravel()
+        ne, m = ed.shape
+        ns = space.n_scalar_dofs
+        keys = (np.repeat(ed, m, axis=1) * ns + np.tile(ed, (1, m))).ravel()
         keys, scatter = np.unique(keys, return_inverse=True)
-        rows, cols = np.divmod(keys, n)
-        self.scatter = scatter.astype(np.int32)
+        rows, cols = np.divmod(keys, ns)
+        if block == 2:
+            # Scalar entry k = (i, j) becomes the 2x2 block (2i + c, 2j + d):
+            # rows 2i and 2i + 1 both hold the column pairs (2j, 2j + 1) of row
+            # i in order, so block (c, d) of k sits at 4 start_i + 2 n_i c
+            # + 2 (k - start_i) + d, with row i at start_i and n_i entries long.
+            start = _row_pointer(rows, ns)
+            width = 2 * np.diff(start)      # entries in each of rows 2i and 2i + 1
+            first = (2 * start[rows] + 2 * np.arange(rows.size))[scatter].reshape(ne, m, m)
+            span = width[rows][scatter].reshape(ne, m, m)
+            # element entry (e, 2a + c, 2b + d) is block (c, d) of scalar entry (e, a, b)
+            scatter = np.empty((ne, m, 2, m, 2), dtype=np.int32)
+            for c, d in itertools.product(range(2), range(2)):
+                scatter[:, :, c, :, d] = first + c * span + d
+            # row 2i + c copies the column pairs of row i, which sit from 2 start_i
+            lengths = np.repeat(width, 2)
+            shift = np.cumsum(lengths) - lengths - np.repeat(2 * start[:-1], 2)
+            pairs = np.stack([2 * cols, 2 * cols + 1], axis=-1).ravel()
+            cols = pairs[np.arange(pairs.size * 2) - np.repeat(shift, lengths)]
+            rows = np.repeat(np.arange(2 * ns), lengths)
+        self.n = n = block * ns
+        self.scatter = scatter.astype(np.int32, copy=False).ravel()
         self.pattern = (cols.astype(np.int32), _row_pointer(rows, n))
         if dirichlet is None:
             return
@@ -395,10 +420,11 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
     the Newton system: the consistent tangent
     dsigma/deps = phi E + (phi'/t)(E eps)(E eps)^T and the load
     f - F_int(u_prev) + K_T u_prev, with F_int = sum_q B^T sigma detJ w, so the
-    solution x gives the Newton direction x - u_prev. Returns the reduced
-    system and the number of clamp events. A solve that assembles repeatedly
-    passes B, plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
-    and f = thermal_load(space, p, theta), each built once.
+    solution x gives the Newton direction x - u_prev, and the system carries
+    F_int as internal_force. Returns the reduced system and the number of
+    clamp events. A solve that assembles repeatedly passes B,
+    plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc)) and
+    f = thermal_load(space, p, theta), each built once.
     """
     if space.components != 2:
         raise ValueError("mechanical problem needs a 2-vector space")
@@ -430,11 +456,13 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
     k_local = B.reshape(ne, -1, m).transpose(0, 2, 1) @ EB.reshape(ne, -1, m)
     del EB   # freed before the scatter, which holds the global matrix
     K = plan.assemble(k_local)
-    if tangent:
-        vdofs = space.vector_dofs(space.element_dofs).ravel()
-        f = f - np.bincount(vdofs, weights=f_int.ravel(), minlength=space.n_dofs)
-        f += K @ u_prev.values
-    return plan.eliminate(K, f), clamps
+    if not tangent:
+        return plan.eliminate(K, f), clamps
+    vdofs = space.vector_dofs(space.element_dofs).ravel()
+    f_int = np.bincount(vdofs, weights=f_int.ravel(), minlength=space.n_dofs)
+    sys = plan.eliminate(K, f - f_int + K @ u_prev.values)
+    sys.internal_force = f_int
+    return sys, clamps
 
 
 def mass_matrix(space: FESpace) -> sp.csr_matrix:

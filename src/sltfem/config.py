@@ -7,7 +7,9 @@ default; command-line `--key value` flags override file values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 
 from .assembly import FESpace, MechanicalBC, ThermalBC
 from .constitutive import MaterialParams
@@ -17,6 +19,8 @@ from .solver import (  # noqa: F401 -- picard_solve stays in this namespace for 
     FEField,
     PicardConfig,
     SolveReport,
+    _linear_start,
+    _Start,
     newton_solve,
     picard_solve,
     solve_thermal,
@@ -243,15 +247,69 @@ class RunResult:
     fields: dict
 
 
-def run_single(cfg: RunConfig) -> RunResult:
-    """Thermal solve, Newton mechanical solve, field recovery."""
-    from .postprocess import recover_fields
+@dataclass
+class _Setup:
+    """What a solve builds before its Newton iteration; none of it depends on
+    a or b (at b = 0 the multiplier is 1 for every a). start is None outside
+    a shared_setup() block: newton_solve then builds its own, freed with it."""
 
+    mesh: CrackedMesh
+    u_space: FESpace
+    theta: FEField
+    start: _Start | None
+
+
+# The set-up of the last solve, keyed by its RunConfig with a and b
+# neutralised, while a shared_setup() block is open in this context.
+_shared: ContextVar[dict[RunConfig, _Setup] | None] = ContextVar("_shared", default=None)
+
+
+@contextmanager
+def shared_setup():
+    """Within this block, run_single builds its set-up (mesh, spaces, thermal
+    solve, b = 0 start and factor) once and reuses it for each following
+    config that differs only in a and b. One entry is kept and dropped on
+    exit; a nested block joins the open one."""
+    if _shared.get() is not None:
+        yield
+        return
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def _build_setup(cfg: RunConfig, shared: bool) -> _Setup:
     mesh = cfg.build_mesh()
     p = cfg.material()
     theta_space = FESpace(mesh, order=cfg.element_order, components=1)
     u_space = FESpace(mesh, order=cfg.element_order, components=2)
     theta = solve_thermal(theta_space, p, Q_source=cfg.Q, bc=cfg.thermal_bc())
-    u, report = newton_solve(u_space, p, theta, cfg.mechanical_bc(), cfg.picard())
-    fields = recover_fields(u, theta, p)
-    return RunResult(config=cfg, mesh=mesh, theta=theta, u=u, report=report, fields=fields)
+    start = _linear_start(u_space, p, theta, cfg.mechanical_bc()) if shared else None
+    return _Setup(mesh, u_space, theta, start)
+
+
+def _setup(cfg: RunConfig) -> _Setup:
+    shared = _shared.get()
+    if shared is None:
+        return _build_setup(cfg, shared=False)
+    key = replace(cfg, a=0.0, b=0.0)
+    if key not in shared:
+        shared.clear()
+        shared[key] = _build_setup(cfg, shared=True)
+    return shared[key]
+
+
+def run_single(cfg: RunConfig) -> RunResult:
+    """Thermal solve, Newton mechanical solve, field recovery; the set-up is
+    shared within a shared_setup() block."""
+    from .postprocess import recover_fields
+
+    setup = _setup(cfg)
+    p = cfg.material()
+    u, report = newton_solve(setup.u_space, p, setup.theta, cfg.mechanical_bc(),
+                             cfg.picard(), start=setup.start)
+    fields = recover_fields(u, setup.theta, p)
+    return RunResult(config=cfg, mesh=setup.mesh, theta=setup.theta, u=u, report=report,
+                     fields=fields)

@@ -126,8 +126,13 @@ def crack_opening_profile(u: FEField, mesh: CrackedMesh) -> list[tuple[float, fl
 
 
 def run_sweep(base_config, parameter: str, values) -> list["SweepRow"]:
-    """One full solve per parameter value on the identical mesh."""
-    from .config import run_single  # deferred: config imports postprocess
+    """One full solve per parameter value on the identical mesh.
+
+    Each value is solved by config.run_single, looked up per call, inside a
+    config.shared_setup() block: the mesh, spaces, thermal solve and b = 0
+    start are built once for the sweep.
+    """
+    from . import config  # deferred: config imports postprocess
 
     if parameter not in ("a", "b"):
         raise ValueError("sweep parameter must be 'a' or 'b'")
@@ -135,22 +140,22 @@ def run_sweep(base_config, parameter: str, values) -> list["SweepRow"]:
     if not values:
         raise ValueError("sweep needs at least one value")
     rows = []
-    for v in values:
-        cfg = replace(base_config, **{parameter: float(v)})
-        result = run_single(cfg)
-        fields = result.fields
-        rows.append(SweepRow(
-            parameter=parameter,
-            value=float(v),
-            max_stress_norm=float(fields["stress_norm"].values.max()),
-            max_strain_norm=float(fields["strain_norm"].values.max()),
-            max_principal_stress=float(fields["principal_stress_max"].values.max()),
-            min_principal_stress=float(fields["principal_stress_min"].values.min()),
-            max_principal_strain=float(fields["principal_strain_max"].values.max()),
-            min_principal_strain=float(fields["principal_strain_min"].values.min()),
-            converged=result.report.converged,
-            iterations=result.report.iterations,
-        ))
+    with config.shared_setup():
+        for v in values:
+            result = config.run_single(replace(base_config, **{parameter: float(v)}))
+            fields = result.fields
+            rows.append(SweepRow(
+                parameter=parameter,
+                value=float(v),
+                max_stress_norm=float(fields["stress_norm"].values.max()),
+                max_strain_norm=float(fields["strain_norm"].values.max()),
+                max_principal_stress=float(fields["principal_stress_max"].values.max()),
+                min_principal_stress=float(fields["principal_stress_min"].values.min()),
+                max_principal_strain=float(fields["principal_strain_max"].values.max()),
+                min_principal_strain=float(fields["principal_strain_min"].values.min()),
+                converged=result.report.converged,
+                iterations=result.report.iterations,
+            ))
     return rows
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from copy import deepcopy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,6 +39,9 @@ _CG_BUDGET = 30
 _CG_JUDGE = 5
 # Shortest step, relative to the first trial, a Newton line search tries.
 _MIN_STEP = 2.0**-20
+# Largest relative nonlinear residual ||R_free|| / ||F_int|| of a converged
+# Newton solve, next to the step tolerance picard.tol.
+_FORCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,11 +65,11 @@ class PicardConfig:
 @dataclass
 class SolveReport:
     """Nonlinear iteration history: per iteration, the L2 increment and, for
-    Newton, the relative nonlinear residual at its iterate (residuals); per
-    linear solve, the relative residual of its solution (linear_solve_stats)
-    and its triangular solves beyond one per factorization (refine_steps:
-    refinement steps and CG iterations); the number of SuperLU
-    factorizations (factorizations)."""
+    Newton, the nonlinear residual at its iterate relative to the internal
+    force (residuals); per linear solve, the relative residual of its
+    solution (linear_solve_stats) and its triangular solves beyond one per
+    factorization (refine_steps: refinement steps and CG iterations); the
+    number of SuperLU factorizations (factorizations)."""
 
     iterations: int = 0
     increments: list[float] = field(default_factory=list)
@@ -79,11 +83,12 @@ class SolveReport:
 
 @dataclass
 class Preconditioner:
-    """The SuperLU factor a Picard solve reuses as its CG preconditioner.
+    """The SuperLU factor a nonlinear solve reuses as its CG preconditioner.
 
     Build one per solve, like AssemblyPlan, to be freed with it. linear_solve
     holds each fresh factor here and drops the held one before it factors
-    again, so at most one LU is alive.
+    again, so one holder keeps at most one LU alive. Within a sweep, the
+    shared b = 0 factor outlives each solve's holder, so two can be.
     """
 
     lu: object = None
@@ -244,7 +249,9 @@ def solve_thermal(space: FESpace, p: MaterialParams, Q_source=0.0,
 class _Start:
     """Set-up shared by the nonlinear solvers, and the b = 0 solution u they
     start from; load is the norm of the free part of the b = 0 right-hand
-    side (1 if it is zero)."""
+    side (1 if it is zero). report and precond hold the b = 0 solve's history
+    and factor. Nothing here depends on a or b, so a sweep builds one start
+    and hands each solve a fresh() copy."""
 
     report: SolveReport
     B: np.ndarray
@@ -254,6 +261,13 @@ class _Start:
     precond: Preconditioner
     u: FEField
     load: float
+
+    def fresh(self) -> "_Start":
+        """This start for one more solve: a copy of the b = 0 report, and a
+        Preconditioner of its own holding the shared factor, so a fallback
+        factorization replaces only that solve's holder."""
+        return replace(self, report=deepcopy(self.report),
+                       precond=Preconditioner(self.precond.lu))
 
 
 def _linear_start(space: FESpace, p: MaterialParams, theta: FEField | None,
@@ -311,28 +325,35 @@ def _peak_bt(u: FEField, p: MaterialParams, B: np.ndarray) -> tuple[float, tuple
     return p.b * float(t[e, q]), (round(float(x), 6), round(float(y), 6))
 
 
-def _admissible_start(start: _Start, p: MaterialParams) -> FEField:
-    """The b = 0 solution, or, if it violates the strain limit, its free part
-    scaled toward the Dirichlet lift, u = lift + s (u0 - lift), with s halved
-    until peak b*t <= 0.9 (the lift itself after 20 halvings)."""
-    u0 = start.u
-    if _peak_bt(u0, p, start.B)[0] < 1.0 - DELTA_GUARD:
-        return u0
-    lift = FEField(u0.space, start.plan.lift)
-    bt, xy = _peak_bt(lift, p, start.B)
-    if bt >= 1.0 - DELTA_GUARD:
-        raise InadmissibleStrain(
-            bt / p.b, location=f"(x, y) = {xy}: the b = 0 start violates the strain "
-            "limit, and so does the Dirichlet lift it would be scaled toward (the "
-            "prescribed displacements, zero at every free dof); lower "
-            "mechanical_bc.top_uy, thermal_bc.Q or material.b")
-    s = 1.0
+def _scaled_start(start: _Start, p: MaterialParams) -> tuple[FEField, float]:
+    """Newton's start and its energy: the b = 0 solution u0 scaled toward the
+    Dirichlet lift, u = lift + s (u0 - lift). From s = 1, s is halved, at most
+    20 times, while the peak b*t of u exceeds 0.9 or Pi at s/2 is lower than
+    at s, with Pi = inf where u violates the strain limit: a line search on
+    the convex Pi along the ray, which u0 overshoots where the law is far
+    stiffer than linear elasticity. If u0 has to be scaled, its peak b*t
+    exceeding 0.9, and the lift violates the limit, InadmissibleStrain is
+    raised."""
+    u0, lift = start.u, start.plan.lift
+    bt = _peak_bt(u0, p, start.B)[0]
+    if bt > 0.9:
+        lift_bt, xy = _peak_bt(FEField(u0.space, lift), p, start.B)
+        if lift_bt >= 1.0 - DELTA_GUARD:
+            raise InadmissibleStrain(
+                lift_bt / p.b, location=f"(x, y) = {xy}: the b = 0 start has b t above "
+                "0.9, and the Dirichlet lift it would be scaled toward (the prescribed "
+                "displacements, zero at every free dof) violates the strain limit; "
+                "lower mechanical_bc.top_uy, thermal_bc.Q or material.b")
+    u, s = u0, 1.0
+    energy = _energy(u0, p, start.B, start.f)
     for _ in range(20):
-        s *= 0.5
-        u = FEField(u0.space, lift.values + s * (u0.values - lift.values))
-        if _peak_bt(u, p, start.B)[0] <= 0.9:
-            return u
-    return lift
+        half = FEField(u0.space, lift + 0.5 * s * (u0.values - lift))
+        half_energy = _energy(half, p, start.B, start.f)
+        if bt <= 0.9 and not half_energy < energy:
+            break
+        u, s, energy = half, 0.5 * s, half_energy
+        bt = _peak_bt(u, p, start.B)[0]
+    return u, energy
 
 
 def _energy(u: FEField, p: MaterialParams, B: np.ndarray, f: np.ndarray) -> float:
@@ -345,37 +366,41 @@ def _energy(u: FEField, p: MaterialParams, B: np.ndarray, f: np.ndarray) -> floa
 
 
 def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
-                 bc: MechanicalBC, cfg: PicardConfig = PicardConfig()
-                 ) -> tuple[FEField, SolveReport]:
+                 bc: MechanicalBC, cfg: PicardConfig = PicardConfig(),
+                 start: _Start | None = None) -> tuple[FEField, SolveReport]:
     """Newton's method on the potential energy Pi(u) = sum W(eps(u)) detJ w - f.u.
 
-    Starts from the b=0 linear solve, scaled toward the Dirichlet lift if it
-    violates the strain limit (see _admissible_start; InadmissibleStrain if
-    the lift does too). Each step solves the consistent-tangent system, CG
-    preconditioned by the b=0 factor and started from the iterate, and
-    backtracks from step length cfg.damping, halving, until Pi rises by at
-    most 10 eps |Pi|; a point violating the strain limit has Pi = inf, so
-    every iterate is admissible and nothing is clamped. The increment is the
-    L2 norm (consistent mass matrix) of the full Newton direction, and the
-    solve has converged when it is below cfg.tol; report.residuals holds
-    the relative residual ||f - F_int(u)|| / load over the free dofs at each
-    iterate. If no step of at least 2^-20 cfg.damping passes, the last
+    Starts from the b=0 linear solve, scaled toward the Dirichlet lift by Pi
+    and the strain limit (see _scaled_start; InadmissibleStrain if the b = 0
+    solution and the lift both violate the limit). A given start, built by
+    _linear_start for the same space, theta and bc with any a and b, is used
+    through a fresh() copy instead of building one. Each step solves the
+    consistent-tangent system, CG preconditioned by the b=0 factor and
+    started from the iterate, and backtracks from step length cfg.damping,
+    halving, until Pi rises by at most 10 eps |Pi|; a point violating the
+    strain limit has Pi = inf, so every iterate is admissible and nothing is
+    clamped. report.residuals holds, at each iterate, the relative residual
+    ||f - F_int(u)|| over the free dofs divided by ||F_int(u)|| over all dofs,
+    reactions included (by load if F_int is zero). The increment is the L2
+    norm (consistent mass matrix) of the full Newton direction, and the solve
+    has converged when it is below cfg.tol and the residual at most
+    _FORCE_TOL. If no step of at least 2^-20 cfg.damping passes, the last
     iterate is returned unconverged. Non-convergence is reported, not raised,
     unless the last iterate lies within 2 DELTA_GUARD of the strain limit:
     then the load has no solution the guarded law can carry, and
     InadmissibleStrain names where.
     """
-    start = _linear_start(space, p, theta, bc)
+    start = _linear_start(space, p, theta, bc) if start is None else start.fresh()
     report = start.report
-    u = _admissible_start(start, p)
-    energy = _energy(u, p, start.B, start.f)
+    u, energy = _scaled_start(start, p)
     for _ in range(cfg.max_iter):
         sys = None   # freed before the next assembly, while the held LU is alive
         sys, clamps = assemble_mechanical(space, p, theta, u, bc, B=start.B,
                                           plan=start.plan, f=start.f, tangent=True)
         report.clamp_events += clamps
         r = sys.rhs - sys.matrix @ u.values
-        report.residuals.append(float(np.linalg.norm(r)) / start.load)
+        force = float(np.linalg.norm(sys.internal_force))
+        report.residuals.append(float(np.linalg.norm(r)) / (force or start.load))
         d = linear_solve(sys, report, x0=u.values, precond=start.precond) - u.values
         inc = l2_norm(space, d, M=start.M)
         report.increments.append(inc)
@@ -388,7 +413,7 @@ def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
                 u, energy = trial, trial_energy
                 break
             step *= 0.5
-        if inc < cfg.tol:
+        if inc < cfg.tol and report.residuals[-1] <= _FORCE_TOL:
             report.converged = True
             break
         if step < cfg.damping * _MIN_STEP:

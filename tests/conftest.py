@@ -1,3 +1,6 @@
+import pytest
+
+
 def pytest_terminal_summary(terminalreporter):
     try:
         from test_acceptance import RESULTS
@@ -7,3 +10,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in RESULTS:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def fespace_builds(monkeypatch):
+    """The FESpace constructions made through sltfem.config, one entry each."""
+    import sltfem.config
+
+    built = []
+    cls = sltfem.config.FESpace
+
+    def count(*args, **kwargs):
+        built.append(args)
+        return cls(*args, **kwargs)
+
+    monkeypatch.setattr(sltfem.config, "FESpace", count)
+    return built

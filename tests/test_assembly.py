@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from sltfem import CrackSpec, EmptyDirichlet, MaterialParams, build_cracked_grid, build_grid
 from sltfem.assembly import (
+    AssemblyPlan,
     FEField,
     FESpace,
     MechanicalBC,
@@ -22,6 +23,7 @@ from sltfem.assembly import (
     strain_displacement,
     strains_at_qps,
     thermal_dirichlet,
+    _row_pointer,
 )
 from sltfem.mesh import GAMMA1, GAMMA3
 from sltfem.solver import linear_solve, solve_thermal
@@ -359,6 +361,23 @@ def assert_close_rel(actual, expected, rtol=1e-14):
                                atol=rtol * max(abs(expected).max(), 1e-300))
 
 
+def sorted_key_plan(space, dirichlet):
+    """Scatter, pattern, reduced pattern and unit diagonal of a vector plan
+    built by sorting every vector (row, col) key, the construction the plan's
+    derivation from the scalar pattern replaced."""
+    dofs = space.vector_dofs(space.element_dofs).reshape(space.mesh.n_elements, -1)
+    n, m = space.n_dofs, dofs.shape[1]
+    keys = (np.repeat(dofs, m, axis=1) * n + np.tile(dofs, (1, m))).ravel()
+    keys, scatter = np.unique(keys, return_inverse=True)
+    rows, cols = np.divmod(keys, n)
+    pattern = (cols.astype(np.int32), _row_pointer(rows, n))
+    fixed = np.zeros(n, dtype=bool)
+    fixed[list(dirichlet)] = True
+    kept = ~(fixed[rows] | fixed[cols]) | (rows == cols)
+    reduced = (pattern[0][kept], _row_pointer(rows[kept], n))
+    return scatter.astype(np.int32), pattern, reduced, np.flatnonzero(fixed[rows[kept]])
+
+
 PLAN_CASES = [(n, order, b) for n in (4, 8) for order in (1, 2) for b in (0.0, 0.02)]
 
 
@@ -418,6 +437,22 @@ class TestAssemblyPlan:
         m_local = np.einsum("qa,qb,eq->eab", space.N, space.N, space.detJxW)
         assert_close_rel(mass_matrix(space).toarray(),
                          coo_matrix_oracle(space, m_local, 1).toarray())
+
+    @pytest.mark.parametrize("n,order", [(4, 1), (4, 2), (8, 1), (8, 2)])
+    def test_vector_plan_matches_sorted_keys(self, n, order):
+        space = FESpace(build_cracked_grid(n, n), order=order, components=2)
+        dirichlet = mechanical_dirichlet(space, MechanicalBC(top_uy=0.1))
+        plan = AssemblyPlan(space, 2, dirichlet)
+        scatter, pattern, reduced, unit_diagonal = sorted_key_plan(space, dirichlet)
+        for got, want in [(plan.scatter, scatter), *zip(plan.pattern, pattern),
+                          *zip(plan.reduced, reduced), (plan.unit_diagonal, unit_diagonal)]:
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        m = 2 * space.element_dofs.shape[1]
+        k_local = np.random.default_rng(n).normal(size=(space.mesh.n_elements, m, m))
+        np.testing.assert_array_equal(
+            plan.assemble(k_local).data,
+            np.bincount(scatter, weights=k_local.ravel(), minlength=pattern[0].size))
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_dirichlet_rows_and_columns_hold_unit_diagonal(self, order):

@@ -99,3 +99,8 @@ class TestReproductionSuite:
             n_lines = len(csv.read_text().splitlines())
             assert n_lines == len(entry["rows"]) + 1
             assert all(r.converged for r in entry["rows"])
+
+    def test_one_set_up_per_scenario(self, tmp_path, fespace_builds, capsys):
+        # the b- and a-sweep of each of the 4 scenarios share one mesh and its 2 spaces
+        run_reproduction_suite(out_dir=tmp_path, nx=4, ny=4, order=1)
+        assert len(fespace_builds) == 4 * 2

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sltfem.config
 from sltfem import (
     MaterialParams,
     build_cracked_grid,
@@ -14,6 +15,7 @@ from sltfem import (
     write_vtk,
 )
 from sltfem.assembly import FEField, FESpace
+from sltfem.cli import scenario_config
 from sltfem.config import RunConfig, run_single
 from sltfem.constitutive import stress_from_strain_m
 from sltfem.postprocess import NodalField, _principal_values
@@ -129,6 +131,63 @@ class TestRunSweep:
             run_sweep(RunConfig(), "k", [1.0])
         with pytest.raises(ValueError):
             run_sweep(RunConfig(), "b", [])
+
+
+def recording_run_single(monkeypatch):
+    """Wrap sltfem.config.run_single with one argument, as perfbench/run.py
+    does; returns the list of results it records."""
+    results = []
+    solve = sltfem.config.run_single
+
+    def keep(cfg):
+        results.append(solve(cfg))
+        return results[-1]
+
+    monkeypatch.setattr(sltfem.config, "run_single", keep)
+    return results
+
+
+class TestSharedSetUp:
+    """A sweep builds its mesh, spaces, thermal solve and b = 0 start once."""
+
+    CFG = scenario_config("x", "constant", 8, 8)
+
+    @pytest.mark.parametrize("parameter,values", [("a", (0.1, 0.5, 1.0)),
+                                                  ("b", (0.0, 0.01, 0.02))])
+    def test_sweep_matches_standalone_solves(self, monkeypatch, fespace_builds,
+                                             parameter, values):
+        results = recording_run_single(monkeypatch)
+        run_sweep(self.CFG, parameter, values)
+        assert len(results) == len(values) and len(fespace_builds) == 2
+        monkeypatch.undo()
+        for value, got in zip(values, results):
+            want = run_single(replace(self.CFG, **{parameter: value}))
+            np.testing.assert_array_equal(got.u.values, want.u.values)
+            for name, fld in want.fields.items():
+                np.testing.assert_array_equal(got.fields[name].values, fld.values)
+            assert got.report == want.report
+        if parameter == "a":
+            # a = 0.1 falls back to a fresh factor; the shared one still serves a = 0.5
+            assert [r.report.factorizations for r in results] == [2, 1, 1]
+
+    def test_set_up_is_dropped_after_the_sweep(self, fespace_builds):
+        run_sweep(self.CFG, "b", (0.0, 0.02))
+        assert len(fespace_builds) == 2
+        run_single(self.CFG)
+        assert len(fespace_builds) == 4
+
+    def test_set_up_is_dropped_after_a_failed_value(self, fespace_builds):
+        with pytest.raises(ValueError):
+            run_sweep(self.CFG, "a", (0.5, -1.0))
+        assert len(fespace_builds) == 2
+        run_single(self.CFG)
+        assert len(fespace_builds) == 4
+
+    def test_wrapper_called_once_per_value(self, monkeypatch):
+        results = recording_run_single(monkeypatch)
+        rows = run_sweep(self.CFG, "b", (0.0, 0.01, 0.02))
+        assert [r.config.b for r in results] == [0.0, 0.01, 0.02]
+        assert [r.iterations for r in rows] == [r.report.iterations for r in results]
 
 
 class TestWriteVtk:

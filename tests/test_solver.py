@@ -356,10 +356,34 @@ class TestNewton:
         monkeypatch.setattr(sltfem.solver, "_energy", start_only)
         u, report = newton_solve(space, p, theta, bc)
         assert not report.converged and report.iterations == 1
-        assert len(calls) == 2 + 20   # the start, then steps 1, 1/2, ..., 2^-20
+        # The start and its half (inf, so the start stays), then steps 1, 1/2, ..., 2^-20.
+        assert len(calls) == 3 + 20
         # The returned iterate is the (admissible) b = 0 start.
         sys, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc)
         np.testing.assert_array_equal(u.values, linear_solve(sys))
+
+    def test_energy_scaled_start(self):
+        # The b = 0 solution overshoots the a = 0.1 law; the start scaled by Pi
+        # saves most of the iterations and factorizations (14 and 5 unscaled).
+        space, p, theta = cracked_setup(16, a=0.1, b=0.02)
+        u, report = newton_solve(space, p, theta, MechanicalBC())
+        assert report.converged
+        assert report.iterations <= 6 and report.factorizations <= 3
+
+    def test_start_is_the_b_zero_solution_where_pi_rises_toward_the_lift(self, monkeypatch):
+        space, p, theta = cracked_setup(8)
+        bc = MechanicalBC()
+        scaled_start = sltfem.solver._scaled_start
+        starts = []
+
+        def keep(*args):
+            starts.append(scaled_start(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(sltfem.solver, "_scaled_start", keep)
+        newton_solve(space, p, theta, bc)
+        sys, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc)
+        np.testing.assert_array_equal(starts[0][0].values, linear_solve(sys))
 
     def test_robustness_grid(self):
         """Converged with no clamps and a small residual, or an error that says where."""
