@@ -9,7 +9,6 @@ elimination so the reduced matrix stays SPD.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,10 +253,11 @@ class AssemblyPlan:
     Element matrices are summed into the CSR data through a scatter index,
     in the order a COO-to-CSR conversion sums them. The pattern is sorted
     from the scalar (row, col) keys; a 2-vector plan expands each scalar
-    entry into its 2x2 block. Given Dirichlet data,
-    the plan also holds the pattern left by symmetric elimination, so the
-    reduced matrix is the CSR data under a mask. A plan is tied to its space
-    and boundary data: build it in the solve that uses it, to be freed with it.
+    entry into its 2x2 block through a BSR-to-CSR conversion. Given
+    Dirichlet data, the plan also holds the pattern left by symmetric
+    elimination, so the reduced matrix is the CSR data under a mask. A plan
+    is tied to its space and boundary data: build it in the solve that uses
+    it, to be freed with it.
     """
 
     def __init__(self, space: FESpace, block: int,
@@ -268,28 +268,23 @@ class AssemblyPlan:
         keys = (np.repeat(ed, m, axis=1) * ns + np.tile(ed, (1, m))).ravel()
         keys, scatter = np.unique(keys, return_inverse=True)
         rows, cols = np.divmod(keys, ns)
+        indptr = _row_pointer(rows, ns)
         if block == 2:
-            # Scalar entry k = (i, j) becomes the 2x2 block (2i + c, 2j + d):
-            # rows 2i and 2i + 1 both hold the column pairs (2j, 2j + 1) of row
-            # i in order, so block (c, d) of k sits at 4 start_i + 2 n_i c
-            # + 2 (k - start_i) + d, with row i at start_i and n_i entries long.
-            start = _row_pointer(rows, ns)
-            width = 2 * np.diff(start)      # entries in each of rows 2i and 2i + 1
-            first = (2 * start[rows] + 2 * np.arange(rows.size))[scatter].reshape(ne, m, m)
-            span = width[rows][scatter].reshape(ne, m, m)
+            # Expand scalar entry k into its 2x2 block: scipy's BSR-to-CSR
+            # conversion moves block entry (c, d) of k, numbered 4k + 2c + d + 1,
+            # to its CSR slot.
+            numbered = np.arange(1, 4 * keys.size + 1, dtype=np.int32).reshape(-1, 2, 2)
+            csr = sp.bsr_matrix((numbered, cols, indptr), shape=(2 * ns, 2 * ns)).tocsr()
+            slot = np.empty(csr.nnz, dtype=np.int32)
+            slot[csr.data - 1] = np.arange(csr.nnz, dtype=np.int32)
             # element entry (e, 2a + c, 2b + d) is block (c, d) of scalar entry (e, a, b)
-            scatter = np.empty((ne, m, 2, m, 2), dtype=np.int32)
-            for c, d in itertools.product(range(2), range(2)):
-                scatter[:, :, c, :, d] = first + c * span + d
-            # row 2i + c copies the column pairs of row i, which sit from 2 start_i
-            lengths = np.repeat(width, 2)
-            shift = np.cumsum(lengths) - lengths - np.repeat(2 * start[:-1], 2)
-            pairs = np.stack([2 * cols, 2 * cols + 1], axis=-1).ravel()
-            cols = pairs[np.arange(pairs.size * 2) - np.repeat(shift, lengths)]
-            rows = np.repeat(np.arange(2 * ns), lengths)
+            scatter = np.take(slot.reshape(-1, 2, 2), scatter.reshape(ne, m, m), axis=0)
+            scatter = scatter.transpose(0, 1, 3, 2, 4)
+            cols, indptr = csr.indices, csr.indptr
+            rows = np.repeat(np.arange(2 * ns), np.diff(indptr))
         self.n = n = block * ns
         self.scatter = scatter.astype(np.int32, copy=False).ravel()
-        self.pattern = (cols.astype(np.int32), _row_pointer(rows, n))
+        self.pattern = (cols.astype(np.int32, copy=False), indptr)
         if dirichlet is None:
             return
         if not dirichlet:
@@ -344,8 +339,8 @@ def assemble_thermal(space: FESpace, p: MaterialParams, Q_source=0.0,
     else:
         Qq = np.full((space.mesh.n_elements, space.nqp), float(Q_source))
     f_local = np.einsum("eq,qa,eq->ea", Qq, space.N, space.detJxW)
-    f = np.zeros(space.n_scalar_dofs)
-    np.add.at(f, space.element_dofs.ravel(), f_local.ravel())
+    f = np.bincount(space.element_dofs.ravel(), weights=f_local.ravel(),
+                    minlength=space.n_scalar_dofs)
     plan = AssemblyPlan(space, 1, thermal_dirichlet(space, bc))
     return plan.eliminate(plan.assemble(k_local), f)
 
@@ -398,13 +393,12 @@ def mechanical_dirichlet(space: FESpace, bc: MechanicalBC) -> dict[int, float]:
 
 def thermal_load(space: FESpace, p: MaterialParams, theta: FEField | None) -> np.ndarray:
     """Thermal-gradient body force f_i = -alpha int grad(theta) . v_i, before elimination."""
-    f = np.zeros(space.n_dofs)
-    if theta is not None:
-        grad_t = scalar_gradients(theta)
-        f_local = -p.alpha * np.einsum("eqi,qa,eq->eai", grad_t, space.N, space.detJxW)
-        vdofs = space.vector_dofs(space.element_dofs)          # (ne, nloc, 2)
-        np.add.at(f, vdofs.ravel(), f_local.ravel())
-    return f
+    if theta is None:
+        return np.zeros(space.n_dofs)
+    grad_t = scalar_gradients(theta)
+    f_local = -p.alpha * np.einsum("eqi,qa,eq->eai", grad_t, space.N, space.detJxW)
+    vdofs = space.vector_dofs(space.element_dofs)          # (ne, nloc, 2)
+    return np.bincount(vdofs.ravel(), weights=f_local.ravel(), minlength=space.n_dofs)
 
 
 def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None,

@@ -193,9 +193,10 @@ def main(argv: list[str] | None = None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep over a or b")
     p_sweep.add_argument("config", nargs="?")
-    p_sweep.add_argument("--param", required=True, choices=("a", "b"))
-    p_sweep.add_argument("--values", required=True,
-                         help="comma-separated parameter values")
+    p_sweep.add_argument("--param", choices=("a", "b"),
+                         help="swept parameter (overrides sweep.parameter)")
+    p_sweep.add_argument("--values",
+                         help="comma-separated parameter values (overrides sweep.values)")
     p_sweep.add_argument("--out", default="sweep.csv", help="output CSV path")
 
     p_rep = sub.add_parser("reproduce", help="run the full scenario-sweep grid")
@@ -218,9 +219,14 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _load_config(args.config, overrides)
             return run(cfg)
         if args.command == "sweep":
+            for key, flag in (("sweep.parameter", args.param), ("sweep.values", args.values)):
+                if flag is not None:
+                    overrides[key] = flag
             cfg = _load_config(args.config, overrides)
-            values = [float(v) for v in args.values.split(",")]
-            rows = run_sweep(cfg, args.param, values)
+            if cfg.sweep_parameter is None or not cfg.sweep_values:
+                p_sweep.error("needs --param and --values, or the keys "
+                              "sweep.parameter and sweep.values")
+            rows = run_sweep(cfg, cfg.sweep_parameter, cfg.sweep_values)
             write_csv(rows, args.out)
             print(f"wrote {args.out}")
             return EXIT_OK if all(r.converged for r in rows) else EXIT_NOT_CONVERGED

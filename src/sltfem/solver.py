@@ -68,7 +68,7 @@ class SolveReport:
     Newton, the nonlinear residual at its iterate relative to the internal
     force (residuals); per linear solve, the relative residual of its
     solution (linear_solve_stats) and its triangular solves beyond one per
-    factorization (refine_steps: refinement steps and CG iterations); the
+    factorization (refine_steps: preconditioned CG iterations); the
     number of SuperLU factorizations (factorizations)."""
 
     iterations: int = 0
@@ -83,7 +83,8 @@ class SolveReport:
 
 @dataclass
 class Preconditioner:
-    """The SuperLU factor a nonlinear solve reuses as its CG preconditioner.
+    """The SuperLU factor that preconditions CG in linear_solve, held across
+    the linear systems of a nonlinear solve.
 
     Build one per solve, like AssemblyPlan, to be freed with it. linear_solve
     holds each fresh factor here and drops the held one before it factors
@@ -95,8 +96,8 @@ class Preconditioner:
 
 
 class _Residual:
-    """Relative residual of A x = b with an extended-precision product, and
-    the cancellation floor under it."""
+    """Relative residual of A x = b with an extended-precision product, which
+    each CG pass restarts from, and the cancellation floor under it."""
 
     def __init__(self, A: sp.csr_matrix, b: np.ndarray):
         self.A = A
@@ -125,42 +126,25 @@ def _meets_contract(res: float, floor: float) -> bool:
     return res <= _RESIDUAL_TOL or res <= 10.0 * floor
 
 
-def _factored_solve(A: sp.csr_matrix, b: np.ndarray, residual: _Residual):
-    """SuperLU solve with long-double iterative refinement.
-
-    Returns x, its relative residual, the refinement steps and the factor.
-    """
+def _factor(A: sp.csr_matrix):
+    """SuperLU factor of A, ordered by minimum degree on A + A^T."""
     try:
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        x = lu.solve(b)
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SolverBreakdown(f"sparse factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SolverBreakdown("non-finite solution from factorization")
-    r, res = residual(x)
-    steps = 0
-    for _ in range(10):
-        if res <= _RESIDUAL_TOL:
-            break
-        y = x + lu.solve(r)
-        steps += 1
-        r, new_res = residual(y)
-        if new_res >= res:
-            break   # keep x, whose residual res is the one checked
-        x, res = y, new_res
-    if not _meets_contract(res, residual.floor(x)):
-        raise SolverBreakdown(f"relative residual {res:.3e} exceeds {_RESIDUAL_TOL}")
-    return x, res, steps, lu
 
 
 def _preconditioned_cg(A: sp.csr_matrix, x: np.ndarray, lu, residual: _Residual):
     """CG from x, preconditioned by lu, in passes restarted from the true residual.
 
     A pass stops its recursive residual at max(0.1 tol, floor)·||b||; passes
-    go on while the long-double residual falls. Returns x, its relative
-    residual and the CG iterations, with x None if the contract is missed
-    within _CG_BUDGET iterations, or once a pass of at least _CG_JUDGE
-    iterations, contracting at its mean rate so far, would miss it.
+    go on while the long-double residual falls. With lu the factor of A and x
+    zero, the first step is the factored solve, and each later pass is a
+    refinement step of optimal length. Returns x, its relative residual
+    and the CG iterations, with x None if the contract is missed within
+    _CG_BUDGET iterations, or once a pass of at least _CG_JUDGE iterations,
+    contracting at its mean rate so far, would miss it. SolverBreakdown is
+    raised if the first triangular solve of a pass is not finite.
     """
     r, res = residual(x)
     iterations = 0
@@ -175,6 +159,8 @@ def _preconditioned_cg(A: sp.csr_matrix, x: np.ndarray, lu, residual: _Residual)
         r_start = np.linalg.norm(r)
         y = x.copy()
         z = lu.solve(r)
+        if not np.all(np.isfinite(z)):
+            raise SolverBreakdown("non-finite solution from factorization")
         iterations += 1
         p, rz = z, r @ z
         for k in itertools.count(1):
@@ -203,31 +189,34 @@ def linear_solve(sys: LinearSystem, report: SolveReport | None = None,
                  precond: Preconditioner | None = None) -> np.ndarray:
     """Sparse SPD solve with a relative-residual contract of 1e-12.
 
-    With a factor held in precond, the system is solved by conjugate
-    gradients from x0 (default zero), preconditioned by that factor; x0 is
-    returned unchanged if it already meets the contract. If CG misses within
-    _CG_BUDGET iterations, the held factor is dropped and the system is
-    factored afresh. A fresh solve is one SuperLU factorization, ordered by
-    minimum degree on A + A^T, plus iterative refinement with an
-    extended-precision residual if the first solve misses the tolerance; the
-    plain double residual can stall just above the tolerance through
-    cancellation. Its factor is held in precond, if given. A returned x has a
-    relative residual of at most 1e-12 or 10x the cancellation floor;
-    otherwise SolverBreakdown is raised. A given report gets the residual of
-    the returned x, the refinement steps plus CG iterations, and each
-    factorization.
+    The system is solved by conjugate gradients preconditioned by a SuperLU
+    factor, ordered by minimum degree on A + A^T, in passes restarted from an
+    extended-precision residual; the plain double residual can stall just
+    above the tolerance through cancellation. With a factor held in precond,
+    CG starts from x0 (default zero), and x0 is returned unchanged if it
+    already meets the contract. Without one, or if CG on the held one misses
+    within _CG_BUDGET iterations, the held factor is dropped, the system is
+    factored afresh and CG starts from zero; the fresh factor is held in
+    precond, if given. A returned x has a relative residual of at most 1e-12
+    or 10x the cancellation floor; otherwise SolverBreakdown is raised. A
+    given report gets the residual of the returned x, the triangular solves
+    beyond one per factorization, and each factorization.
     """
     A = sys.matrix.tocsr()
     residual = _Residual(A, sys.rhs)
+    zero = np.zeros_like(sys.rhs)
     x, steps = None, 0
     if precond is not None and precond.lu is not None:
-        start = np.zeros_like(sys.rhs) if x0 is None else x0
-        x, res, steps = _preconditioned_cg(A, start, precond.lu, residual)
+        x, res, steps = _preconditioned_cg(A, zero if x0 is None else x0,
+                                           precond.lu, residual)
         if x is None:
             precond.lu = None
     if x is None:
-        x, res, refine, lu = _factored_solve(A, sys.rhs, residual)
-        steps += refine
+        lu = _factor(A)   # before the first floor(), so |A| is not alive in splu
+        x, res, iterations = _preconditioned_cg(A, zero, lu, residual)
+        if x is None:
+            raise SolverBreakdown(f"relative residual {res:.3e} exceeds {_RESIDUAL_TOL}")
+        steps += max(iterations - 1, 0)   # no triangular solve for a zero rhs
         if precond is not None:
             precond.lu = lu
         if report is not None:

@@ -78,6 +78,39 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[0].startswith("parameter,value,max_stress_norm")
 
+    def test_sweep_from_config_keys(self, tmp_path, capsys):
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text("mesh.nx = 4\nmesh.ny = 4\nthermal_bc.Q = 100\n"
+                           "sweep.parameter = a\nsweep.values = 0.5, 1\n")
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", str(cfgfile), "--out", str(out)])
+        assert code == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert [ln.split(",")[:2] for ln in lines[1:]] == [["a", "0.5"], ["a", "1"]]
+
+    def test_flag_overrides_key(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--values", "0.02", "--out", str(out),
+                     "--sweep.parameter", "b", "--sweep.values", "0,0.01,0.02",
+                     "--mesh.nx", "4", "--mesh.ny", "4", "--thermal_bc.Q", "100"])
+        assert code == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert [ln.split(",")[:2] for ln in lines[1:]] == [["b", "0.02"]]
+
+    def test_bad_value_exits_error(self, tmp_path, capsys):
+        code = main(["sweep", "--param", "b", "--values", "0.1,x",
+                     "--out", str(tmp_path / "sweep.csv")])
+        assert code == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["--param", "b"], ["--values", "0.1"],
+                                      ["--param", "b", "--values", ""]])
+    def test_missing_parameter_or_values_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *argv])
+        assert exc.value.code == 2
+
 
 class TestMeshDumpCommand:
     def test_dump_matches_mesh(self, capsys):

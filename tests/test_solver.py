@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import sltfem.solver
-from sltfem import InadmissibleStrain, MaterialParams, build_cracked_grid
+from sltfem import InadmissibleStrain, MaterialParams, SolverBreakdown, build_cracked_grid
 from sltfem.assembly import (
     FEField,
     FESpace,
@@ -121,29 +121,75 @@ class TestLinearSolve:
         assert report.factorizations == 1
         assert np.linalg.norm(sys.matrix @ x2 - sys.rhs) <= 1e-12 * np.linalg.norm(sys.rhs)
 
-    def test_stalled_refinement_returns_the_checked_iterate(self, monkeypatch):
-        # A = [[1, -1], [-1, 1 + 2^-10]] has x = (1025, 1024) for b = (1, 0), and
-        # cancellation floor eps || |A| |x| || / ||b|| = 6.4e-13. The scripted
-        # factor's iterates x + c (1, 0) have relative residual c sqrt(2):
-        # 2.1e-11 (refined), 2.6e-12 (meets 10x the floor), 1.0e-11 (worse).
-        A = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0 + 2.0**-10]]))
-        exact = np.array([1025.0, 1024.0])
-        targets = [exact + c * np.array([1.0, 0.0]) for c in (2.0**-36, 2.0**-39, 2.0**-37)]
+    @staticmethod
+    def _plate_systems():
+        """The b = 0 system of the 8x8 cracked plate and the Newton system at its solution."""
+        space, p, theta = cracked_setup(8)
+        bc = MechanicalBC()
+        sys0, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc)
+        u0 = FEField(space, linear_solve(sys0))
+        sys1, _ = assemble_mechanical(space, p, theta, u0, bc, tangent=True)
+        return sys0, sys1, u0.values
 
-        class ScriptedFactor:
-            x = np.zeros(2)
+    @staticmethod
+    def _assert_checked(sys, x, report):
+        residual = sltfem.solver._Residual(sys.matrix.tocsr(), sys.rhs)
+        res = residual(x)[1]
+        assert report.linear_solve_stats[-1] == res
+        assert sltfem.solver._meets_contract(res, residual.floor(x))
 
-            def solve(self, rhs):
-                step = targets.pop(0) - self.x
-                self.x = self.x + step
-                return step
+    def test_returns_the_checked_iterate(self):
+        sys0, sys1, u0 = self._plate_systems()
+        precond, report = Preconditioner(), SolveReport()
+        x = linear_solve(sys0, report, precond=precond)   # fresh
+        self._assert_checked(sys0, x, report)
+        x = linear_solve(sys1, report, x0=u0, precond=precond)   # held
+        self._assert_checked(sys1, x, report)
+        assert report.factorizations == 1
+        identity = spla.splu(sp.identity(sys1.rhs.size, format="csc"))
+        x = linear_solve(sys1, report, x0=u0, precond=Preconditioner(identity))   # fallback
+        self._assert_checked(sys1, x, report)
+        assert report.factorizations == 2
 
-        monkeypatch.setattr(sltfem.solver.spla, "splu", lambda *a, **k: ScriptedFactor())
+    @staticmethod
+    def _rise_on_second_pass(monkeypatch):
+        """Relative residuals 1, 1e-6 and 1e-3 for the first three checks of a
+        solve: the second pass of its first CG run makes the residual worse."""
+        call = sltfem.solver._Residual.__call__
+        script = [1.0, 1e-6, 1e-3]
+
+        def scripted(self, x):
+            r, res = call(self, x)
+            return r, (script.pop(0) if script else res)
+
+        monkeypatch.setattr(sltfem.solver._Residual, "__call__", scripted)
+        return script
+
+    def test_rising_residual_on_a_held_factor_falls_back(self, monkeypatch):
+        sys0, sys1, u0 = self._plate_systems()
+        precond = Preconditioner()
+        linear_solve(sys0, precond=precond)
+        script = self._rise_on_second_pass(monkeypatch)
+        splu = spla.splu
+
+        def splu_after_the_rise(*args, **kwargs):
+            assert not script   # the held factor's CG saw all three checks
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(sltfem.solver.spla, "splu", splu_after_the_rise)
         report = SolveReport()
-        x = linear_solve(LinearSystem(A, np.array([1.0, 0.0])), report)
-        assert not targets   # the refinement stalled on the third iterate
-        np.testing.assert_array_equal(x, exact + 2.0**-39 * np.array([1.0, 0.0]))
-        assert report.linear_solve_stats == [pytest.approx(2.0**-39 * np.sqrt(2.0), rel=1e-6)]
+        x = linear_solve(sys1, report, x0=u0, precond=precond)
+        assert report.factorizations == 1
+        self._assert_checked(sys1, x, report)
+
+    def test_rising_residual_on_a_fresh_factor_raises(self, monkeypatch):
+        sys0, _, _ = self._plate_systems()
+        script = self._rise_on_second_pass(monkeypatch)
+        precond = Preconditioner()
+        with pytest.raises(SolverBreakdown, match="exceeds"):
+            linear_solve(sys0, precond=precond)
+        assert not script
+        assert precond.lu is None
 
     def test_cg_gives_up_before_the_budget(self):
         space, p, theta = cracked_setup(8)
