@@ -37,6 +37,11 @@ _EPS = np.finfo(np.float64).eps
 _CG_BUDGET = 30
 # CG iterations of a pass before its mean contraction rate can end it early.
 _CG_JUDGE = 5
+# Newton's forcing term eta (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996,
+# choice 2): its first and largest value, and the factor gamma of
+# eta_k = gamma (||r_k|| / ||r_k-1||)^2.
+_ETA_MAX = 0.5
+_ETA_GAMMA = 0.9
 # Shortest step, relative to the first trial, a Newton line search tries.
 _MIN_STEP = 2.0**-20
 # Largest relative nonlinear residual ||R_free|| / ||F_int|| of a converged
@@ -97,7 +102,8 @@ class Preconditioner:
 
 class _Residual:
     """Relative residual of A x = b with an extended-precision product, which
-    each CG pass restarts from, and the cancellation floor under it."""
+    each CG pass restarts from, and the cancellation floor under it. x None
+    stands for zero, where the residual is b and the floor 0, exactly."""
 
     def __init__(self, A: sp.csr_matrix, b: np.ndarray):
         self.A = A
@@ -105,25 +111,30 @@ class _Residual:
         self.scale = bnorm if bnorm > 0 else 1.0
         self._Aw = sp.csr_matrix((A.data.astype(np.longdouble), A.indices, A.indptr),
                                  shape=A.shape)
+        self.b = b
         self._bw = b.astype(np.longdouble)
         self._absA = None   # built at the first floor(), after any factorization
 
-    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+    def __call__(self, x: np.ndarray | None) -> tuple[np.ndarray, float]:
+        if x is None:
+            return self.b.copy(), np.linalg.norm(self.b) / self.scale
         r = np.asarray(self._bw - self._Aw @ x.astype(np.longdouble), dtype=np.float64)
         return r, np.linalg.norm(r) / self.scale
 
-    def floor(self, x: np.ndarray) -> float:
+    def floor(self, x: np.ndarray | None) -> float:
         # A rounded double vector cannot beat the cancellation floor
         # eps * || |A| |x| || / ||b||, however ill-conditioned the mesh.
+        if x is None:
+            return 0.0
         if self._absA is None:
             A = self.A
             self._absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
         return _EPS * np.linalg.norm(self._absA @ np.abs(x)) / self.scale
 
 
-def _meets_contract(res: float, floor: float) -> bool:
-    """A relative residual of 1e-12, or within 10x the cancellation floor."""
-    return res <= _RESIDUAL_TOL or res <= 10.0 * floor
+def _meets_contract(res: float, floor: float, tol: float = _RESIDUAL_TOL) -> bool:
+    """A relative residual of at most tol, or within 10x the cancellation floor."""
+    return res <= tol or res <= 10.0 * floor
 
 
 def _factor(A: sp.csr_matrix):
@@ -134,8 +145,10 @@ def _factor(A: sp.csr_matrix):
         raise SolverBreakdown(f"sparse factorization failed: {exc}") from exc
 
 
-def _preconditioned_cg(A: sp.csr_matrix, x: np.ndarray, lu, residual: _Residual):
-    """CG from x, preconditioned by lu, in passes restarted from the true residual.
+def _preconditioned_cg(A: sp.csr_matrix, x: np.ndarray | None, lu,
+                       residual: _Residual, tol: float):
+    """CG from x (None: zero), preconditioned by lu, in passes restarted from
+    the true residual, to the contract for tol.
 
     A pass stops its recursive residual at max(0.1 tol, floor)·||b||; passes
     go on while the long-double residual falls. With lu the factor of A and x
@@ -147,15 +160,17 @@ def _preconditioned_cg(A: sp.csr_matrix, x: np.ndarray, lu, residual: _Residual)
     raised if the first triangular solve of a pass is not finite.
     """
     r, res = residual(x)
+    floor = residual.floor(x)
+    if x is None:
+        x = np.zeros_like(r)
     iterations = 0
     while True:
-        floor = residual.floor(x)
-        if _meets_contract(res, floor):
+        if _meets_contract(res, floor, tol):
             return x, res, iterations
         if iterations >= _CG_BUDGET:
             return None, res, iterations
-        stop = max(0.1 * _RESIDUAL_TOL, floor) * residual.scale
-        goal = max(_RESIDUAL_TOL, 10.0 * floor) * residual.scale
+        stop = max(0.1 * tol, floor) * residual.scale
+        goal = max(tol, 10.0 * floor) * residual.scale
         r_start = np.linalg.norm(r)
         y = x.copy()
         z = lu.solve(r)
@@ -182,12 +197,14 @@ def _preconditioned_cg(A: sp.csr_matrix, x: np.ndarray, lu, residual: _Residual)
         if not new_res < res:
             return None, res, iterations
         x, res = y, new_res
+        floor = residual.floor(x)
 
 
 def linear_solve(sys: LinearSystem, report: SolveReport | None = None,
                  x0: np.ndarray | None = None,
-                 precond: Preconditioner | None = None) -> np.ndarray:
-    """Sparse SPD solve with a relative-residual contract of 1e-12.
+                 precond: Preconditioner | None = None,
+                 tol: float = _RESIDUAL_TOL) -> np.ndarray:
+    """Sparse SPD solve with a relative-residual contract of tol (1e-12).
 
     The system is solved by conjugate gradients preconditioned by a SuperLU
     factor, ordered by minimum degree on A + A^T, in passes restarted from an
@@ -197,25 +214,23 @@ def linear_solve(sys: LinearSystem, report: SolveReport | None = None,
     already meets the contract. Without one, or if CG on the held one misses
     within _CG_BUDGET iterations, the held factor is dropped, the system is
     factored afresh and CG starts from zero; the fresh factor is held in
-    precond, if given. A returned x has a relative residual of at most 1e-12
+    precond, if given. A returned x has a relative residual of at most tol
     or 10x the cancellation floor; otherwise SolverBreakdown is raised. A
     given report gets the residual of the returned x, the triangular solves
     beyond one per factorization, and each factorization.
     """
     A = sys.matrix.tocsr()
     residual = _Residual(A, sys.rhs)
-    zero = np.zeros_like(sys.rhs)
     x, steps = None, 0
     if precond is not None and precond.lu is not None:
-        x, res, steps = _preconditioned_cg(A, zero if x0 is None else x0,
-                                           precond.lu, residual)
+        x, res, steps = _preconditioned_cg(A, x0, precond.lu, residual, tol)
         if x is None:
             precond.lu = None
     if x is None:
         lu = _factor(A)   # before the first floor(), so |A| is not alive in splu
-        x, res, iterations = _preconditioned_cg(A, zero, lu, residual)
+        x, res, iterations = _preconditioned_cg(A, None, lu, residual, tol)
         if x is None:
-            raise SolverBreakdown(f"relative residual {res:.3e} exceeds {_RESIDUAL_TOL}")
+            raise SolverBreakdown(f"relative residual {res:.3e} exceeds {tol:.3g}")
         steps += max(iterations - 1, 0)   # no triangular solve for a zero rhs
         if precond is not None:
             precond.lu = lu
@@ -354,6 +369,17 @@ def _energy(u: FEField, p: MaterialParams, B: np.ndarray, f: np.ndarray) -> floa
     return float(np.sum(W * u.space.detJxW) - f @ u.values)
 
 
+def _forcing(eta: float, r_norm: float, r_prev: float | None) -> float:
+    """Eisenstat-Walker choice 2 for the forcing term of the next Newton
+    system: _ETA_MAX first, then gamma (||r_k|| / ||r_k-1||)^2, kept at least
+    gamma eta_k-1^2 while that exceeds 0.1, and at most _ETA_MAX."""
+    if r_prev is None:
+        return _ETA_MAX
+    safeguard = _ETA_GAMMA * eta**2
+    eta = _ETA_GAMMA * (r_norm / r_prev) ** 2
+    return min(_ETA_MAX, max(eta, safeguard) if safeguard > 0.1 else eta)
+
+
 def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
                  bc: MechanicalBC, cfg: PicardConfig = PicardConfig(),
                  start: _Start | None = None) -> tuple[FEField, SolveReport]:
@@ -365,32 +391,39 @@ def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
     _linear_start for the same space, theta and bc with any a and b, is used
     through a fresh() copy instead of building one. Each step solves the
     consistent-tangent system, CG preconditioned by the b=0 factor and
-    started from the iterate, and backtracks from step length cfg.damping,
-    halving, until Pi rises by at most 10 eps |Pi|; a point violating the
-    strain limit has Pi = inf, so every iterate is admissible and nothing is
-    clamped. report.residuals holds, at each iterate, the relative residual
-    ||f - F_int(u)|| over the free dofs divided by ||F_int(u)|| over all dofs,
-    reactions included (by load if F_int is zero). The increment is the L2
-    norm (consistent mass matrix) of the full Newton direction, and the solve
-    has converged when it is below cfg.tol and the residual at most
-    _FORCE_TOL. If no step of at least 2^-20 cfg.damping passes, the last
-    iterate is returned unconverged. Non-convergence is reported, not raised,
-    unless the last iterate lies within 2 DELTA_GUARD of the strain limit:
-    then the load has no solution the guarded law can carry, and
-    InadmissibleStrain names where.
+    started from the iterate, only as far as an inexact Newton step needs
+    (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): to a
+    relative residual of max(1e-12, eta ||r|| / ||rhs||), with r the
+    system's residual at the iterate and eta from _forcing. It backtracks
+    from step length cfg.damping, halving, until Pi rises by at most
+    10 eps |Pi|; a point violating the strain limit has Pi = inf, so every
+    iterate is admissible and nothing is clamped. report.residuals holds, at
+    each iterate, the relative residual ||f - F_int(u)|| over the free dofs
+    divided by ||F_int(u)|| over all dofs, reactions included (by load if
+    F_int is zero). The increment is the L2 norm (consistent mass matrix) of
+    the full Newton direction, and the solve has converged when it is below
+    cfg.tol and the residual at most _FORCE_TOL. If no step of at least
+    2^-20 cfg.damping passes, the last iterate is returned unconverged.
+    Non-convergence is reported, not raised, unless the last iterate lies
+    within 2 DELTA_GUARD of the strain limit: then the load has no solution
+    the guarded law can carry, and InadmissibleStrain names where.
     """
     start = _linear_start(space, p, theta, bc) if start is None else start.fresh()
     report = start.report
     u, energy = _scaled_start(start, p)
+    eta, r_prev = 0.0, None
     for _ in range(cfg.max_iter):
         sys = None   # freed before the next assembly, while the held LU is alive
         sys, clamps = assemble_mechanical(space, p, theta, u, bc, B=start.B,
                                           plan=start.plan, f=start.f, tangent=True)
         report.clamp_events += clamps
-        r = sys.rhs - sys.matrix @ u.values
+        r_norm = np.linalg.norm(sys.rhs - sys.matrix @ u.values)
         force = float(np.linalg.norm(sys.internal_force))
-        report.residuals.append(float(np.linalg.norm(r)) / (force or start.load))
-        d = linear_solve(sys, report, x0=u.values, precond=start.precond) - u.values
+        report.residuals.append(float(r_norm) / (force or start.load))
+        eta, r_prev = _forcing(eta, r_norm, r_prev), r_norm
+        tol = max(_RESIDUAL_TOL, eta * r_norm / (np.linalg.norm(sys.rhs) or 1.0))
+        d = linear_solve(sys, report, x0=u.values, precond=start.precond,
+                         tol=tol) - u.values
         inc = l2_norm(space, d, M=start.M)
         report.increments.append(inc)
         report.iterations += 1

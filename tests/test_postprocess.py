@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sltfem.config
+import sltfem.solver
 from sltfem import (
     MaterialParams,
     build_cracked_grid,
@@ -151,15 +152,20 @@ class TestSharedSetUp:
     """A sweep builds its mesh, spaces, thermal solve and b = 0 start once."""
 
     CFG = scenario_config("x", "constant", 8, 8)
+    # CG steps a held factor gets in these tests: a = 0.1 needs 25 on one
+    # Newton system and falls back to a fresh factor, a = 0.5 at most 5.
+    CG_BUDGET = 15
 
     @pytest.mark.parametrize("parameter,values", [("a", (0.1, 0.5, 1.0)),
                                                   ("b", (0.0, 0.01, 0.02))])
     def test_sweep_matches_standalone_solves(self, monkeypatch, fespace_builds,
                                              parameter, values):
+        monkeypatch.setattr(sltfem.solver, "_CG_BUDGET", self.CG_BUDGET)
         results = recording_run_single(monkeypatch)
         run_sweep(self.CFG, parameter, values)
         assert len(results) == len(values) and len(fespace_builds) == 2
         monkeypatch.undo()
+        monkeypatch.setattr(sltfem.solver, "_CG_BUDGET", self.CG_BUDGET)
         for value, got in zip(values, results):
             want = run_single(replace(self.CFG, **{parameter: value}))
             np.testing.assert_array_equal(got.u.values, want.u.values)

@@ -431,6 +431,51 @@ class TestNewton:
         sys, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc)
         np.testing.assert_array_equal(starts[0][0].values, linear_solve(sys))
 
+    def test_forcing_keeps_the_solution(self, monkeypatch):
+        space, p, theta = cracked_setup(16)
+        bc = MechanicalBC()
+        u, report = newton_solve(space, p, theta, bc)
+        monkeypatch.setattr(sltfem.solver, "_ETA_MAX", 0.0)   # every system to 1e-12
+        u_exact, exact = newton_solve(space, p, theta, bc)
+        assert max(exact.linear_solve_stats) <= 1e-12
+        assert report.converged and exact.converged
+        assert report.iterations == exact.iterations
+        assert (np.linalg.norm(u.values - u_exact.values)
+                <= 1e-10 * np.linalg.norm(u_exact.values))
+
+    def test_linear_solves_meet_their_forcing_targets(self, monkeypatch):
+        space, p, theta = cracked_setup(16)
+        solve = sltfem.solver.linear_solve
+        calls = []
+
+        def record(sys, report=None, x0=None, precond=None, tol=1e-12):
+            r0 = np.linalg.norm(sys.rhs - sys.matrix @ x0) if x0 is not None else None
+            calls.append((tol, r0, np.linalg.norm(sys.rhs)))
+            return solve(sys, report, x0=x0, precond=precond, tol=tol)
+
+        monkeypatch.setattr(sltfem.solver, "linear_solve", record)
+        _, report = newton_solve(space, p, theta, MechanicalBC())
+        stats = report.linear_solve_stats
+        assert len(calls) == len(stats) == report.iterations + 1
+        assert calls[0][0] == 1e-12 and stats[0] <= 1e-12   # the b = 0 start
+        # Eisenstat-Walker choice 2 with eta_max = 0.5 and gamma = 0.9.
+        eta, r_prev = 0.5, None
+        for (tol, r, rhs), res in zip(calls[1:], stats[1:]):
+            if r_prev is not None:
+                safeguard = 0.9 * eta**2
+                eta = 0.9 * (r / r_prev) ** 2
+                eta = min(0.5, max(eta, safeguard) if safeguard > 0.1 else eta)
+            assert tol == pytest.approx(max(1e-12, eta * r / rhs), rel=1e-12)
+            assert res <= tol
+            r_prev = r
+
+    def test_forcing_saves_cg_steps(self):
+        # 15 CG steps with the forcing term, 38 with every system solved to 1e-12.
+        space, p, theta = cracked_setup(16)
+        _, report = newton_solve(space, p, theta, MechanicalBC())
+        assert report.converged and report.factorizations == 1
+        assert sum(report.refine_steps) <= 20
+
     def test_robustness_grid(self):
         """Converged with no clamps and a small residual, or an error that says where."""
         mesh = build_cracked_grid(16, 16)
