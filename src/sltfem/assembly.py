@@ -333,7 +333,8 @@ def assemble_thermal(space: FESpace, p: MaterialParams, Q_source=0.0,
     """Steady heat conduction: K_ij = int k grad(phi_i).grad(phi_j), f_i = int Q phi_i."""
     if space.components != 1:
         raise ValueError("thermal problem needs a scalar space")
-    k_local = p.k * np.einsum("eqai,eqbi,eq->eab", space.dNdx, space.dNdx, space.detJxW)
+    k_local = p.k * np.einsum("eqai,eqbi,eq->eab", space.dNdx, space.dNdx, space.detJxW,
+                              optimize=True)
     if callable(Q_source):
         Qq = np.vectorize(Q_source)(space.qp_xy[..., 0], space.qp_xy[..., 1])
     else:

@@ -62,21 +62,17 @@ def _project_to_nodes(mesh: CrackedMesh, space, qp_values: np.ndarray) -> np.nda
     Each quadrature value enters with weight w*detJ*N_a(qp), the bilinear
     shape value of the node (a lumped L2 projection), so quadrature points
     nearest a node dominate its average. Exact for element-wise constants.
-    qp_values has shape (ne, nqp) or (ne, nqp, m).
+    qp_values has shape (ne, nqp, m); the result (n_nodes, m).
     """
     from .assembly import shape_functions
 
     Ngeo, _ = shape_functions(1, space.qp_ref)          # (nqp, 4)
-    scalar = qp_values.ndim == 2
-    vals = qp_values[..., None] if scalar else qp_values
-    acc = np.zeros((mesh.n_nodes, vals.shape[-1]))
-    wacc = np.zeros(mesh.n_nodes)
-    for loc in range(4):
-        w = Ngeo[:, loc][None, :] * space.detJxW        # (ne, nqp)
-        np.add.at(acc, mesh.elements[:, loc], (w[..., None] * vals).sum(axis=1))
-        np.add.at(wacc, mesh.elements[:, loc], w.sum(axis=1))
-    out = acc / wacc[:, None]
-    return out[:, 0] if scalar else out
+    w = Ngeo.T[None] * space.detJxW[:, None, :]         # (ne, 4, nqp)
+    nodes = mesh.elements.ravel()
+    acc = np.zeros((mesh.n_nodes, qp_values.shape[-1]))
+    np.add.at(acc, nodes, (w @ qp_values).reshape(nodes.size, -1))
+    wacc = np.bincount(nodes, weights=w.sum(axis=2).ravel(), minlength=mesh.n_nodes)
+    return acc / wacc[:, None]
 
 
 def recover_fields(u: FEField, theta: FEField | None, p: MaterialParams
@@ -94,24 +90,29 @@ def recover_fields(u: FEField, theta: FEField | None, p: MaterialParams
                 if theta is not None else np.zeros(eps.shape[:2]))
     sig_th = thermal_stress_m(sig, theta_qp, p)
     W = strain_energy_density_m(eps, p)
-
-    out: dict[str, NodalField] = {}
-
-    def nodal_field(name, qp_vals, units=""):
-        out[name] = NodalField(mesh, _project_to_nodes(mesh, space, qp_vals), name, units)
-
-    nodal_field("strain", eps, "-")
-    nodal_field("stress", sig, "stress")
-    nodal_field("thermal_stress", sig_th, "stress")
-    nodal_field("energy_density", W, "stress")
-    nodal_field("strain_norm", np.linalg.norm(eps, axis=-1))
-    nodal_field("stress_norm", np.linalg.norm(sig, axis=-1), "stress")
     smax, smin = _principal_values(sig)
     emax, emin = _principal_values(eps)
-    nodal_field("principal_stress_max", smax, "stress")
-    nodal_field("principal_stress_min", smin, "stress")
-    nodal_field("principal_strain_max", emax)
-    nodal_field("principal_strain_min", emin)
+    qp_fields = [   # (name, quadrature values (ne, nqp) or (ne, nqp, 3), units)
+        ("strain", eps, "-"),
+        ("stress", sig, "stress"),
+        ("thermal_stress", sig_th, "stress"),
+        ("energy_density", W, "stress"),
+        ("strain_norm", np.linalg.norm(eps, axis=-1), ""),
+        ("stress_norm", np.linalg.norm(sig, axis=-1), "stress"),
+        ("principal_stress_max", smax, "stress"),
+        ("principal_stress_min", smin, "stress"),
+        ("principal_strain_max", emax, ""),
+        ("principal_strain_min", emin, ""),
+    ]
+    # One projection of every field's quadrature values, stacked as columns.
+    columns = [v if v.ndim == 3 else v[..., None] for _, v, _ in qp_fields]
+    nodal = _project_to_nodes(mesh, space, np.concatenate(columns, axis=-1))
+    out: dict[str, NodalField] = {}
+    start = 0
+    for (name, v, units), c in zip(qp_fields, columns):
+        values = nodal[:, start:start + c.shape[-1]]
+        start += c.shape[-1]
+        out[name] = NodalField(mesh, values if v.ndim == 3 else values[:, 0], name, units)
     return out
 
 

@@ -89,7 +89,8 @@ class SolveReport:
 @dataclass
 class Preconditioner:
     """The SuperLU factor that preconditions CG in linear_solve, held across
-    the linear systems of a nonlinear solve.
+    the linear systems of a nonlinear solve: a _Factor, or any float64 factor
+    with a solve method, such as a SuperLU.
 
     Build one per solve, like AssemblyPlan, to be freed with it. linear_solve
     holds each fresh factor here and drops the held one before it factors
@@ -98,6 +99,18 @@ class Preconditioner:
     """
 
     lu: object = None
+
+
+@dataclass(frozen=True)
+class _Factor:
+    """A SuperLU factor computed in dtype and applied to float64 vectors;
+    SuperLU.solve refuses a float64 right-hand side on a float32 factor."""
+
+    lu: spla.SuperLU
+    dtype: type
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        return self.lu.solve(r.astype(self.dtype, copy=False)).astype(np.float64, copy=False)
 
 
 class _Residual:
@@ -137,10 +150,14 @@ def _meets_contract(res: float, floor: float, tol: float = _RESIDUAL_TOL) -> boo
     return res <= tol or res <= 10.0 * floor
 
 
-def _factor(A: sp.csr_matrix):
-    """SuperLU factor of A, ordered by minimum degree on A + A^T."""
+def _factor(A: sp.csr_matrix, dtype: type) -> _Factor:
+    """SuperLU factor of A in dtype, ordered by minimum degree on A + A^T."""
+    # Cast before the CSC conversion, so no float64 CSC copy is made, and
+    # keep no name to the cast CSR, so it is freed before splu runs.
+    csc = sp.csr_matrix((A.data.astype(dtype, copy=False), A.indices, A.indptr),
+                        shape=A.shape).tocsc()
     try:
-        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        return _Factor(spla.splu(csc, permc_spec="MMD_AT_PLUS_A"), dtype)
     except RuntimeError as exc:
         raise SolverBreakdown(f"sparse factorization failed: {exc}") from exc
 
@@ -209,15 +226,20 @@ def linear_solve(sys: LinearSystem, report: SolveReport | None = None,
     The system is solved by conjugate gradients preconditioned by a SuperLU
     factor, ordered by minimum degree on A + A^T, in passes restarted from an
     extended-precision residual; the plain double residual can stall just
-    above the tolerance through cancellation. With a factor held in precond,
-    CG starts from x0 (default zero), and x0 is returned unchanged if it
-    already meets the contract. Without one, or if CG on the held one misses
-    within _CG_BUDGET iterations, the held factor is dropped, the system is
-    factored afresh and CG starts from zero; the fresh factor is held in
-    precond, if given. A returned x has a relative residual of at most tol
-    or 10x the cancellation floor; otherwise SolverBreakdown is raised. A
-    given report gets the residual of the returned x, the triangular solves
-    beyond one per factorization, and each factorization.
+    above the tolerance through cancellation. A factor only has to
+    precondition, so a fresh one is computed in float32: CG restarted from
+    the extended-precision residual recovers full accuracy (Carson & Higham,
+    SIAM J. Sci. Comput. 40, 2018; Langou et al., SC 2006). With a factor
+    held in precond, CG starts from x0 (default zero), and x0 is returned
+    unchanged if it already meets the contract. Without one, or if CG on the
+    held one misses within _CG_BUDGET iterations, the held factor is
+    dropped, the system is factored afresh and CG starts from zero; the
+    fresh factor is held in precond, if given. If the float32 factorization
+    fails, its triangular solve is not finite or its CG misses, the system
+    is factored again in float64. A returned x has a relative residual of at
+    most tol or 10x the cancellation floor; otherwise SolverBreakdown is
+    raised. A given report gets the residual of the returned x, the
+    triangular solves beyond one per factorization, and each factorization.
     """
     A = sys.matrix.tocsr()
     residual = _Residual(A, sys.rhs)
@@ -227,15 +249,24 @@ def linear_solve(sys: LinearSystem, report: SolveReport | None = None,
         if x is None:
             precond.lu = None
     if x is None:
-        lu = _factor(A)   # before the first floor(), so |A| is not alive in splu
-        x, res, iterations = _preconditioned_cg(A, None, lu, residual, tol)
-        if x is None:
+        for dtype in (np.float32, np.float64):
+            lu = None   # a failed float32 LU is freed before the float64 splu
+            try:
+                lu = _factor(A, dtype)   # the float32 splu precedes any floor() and its |A|
+                if report is not None:
+                    report.factorizations += 1
+                x, res, iterations = _preconditioned_cg(A, None, lu, residual, tol)
+            except SolverBreakdown:
+                if dtype is np.float64:
+                    raise
+                continue
+            steps += max(iterations - 1, 0)   # no triangular solve for a zero rhs
+            if x is not None:
+                break
+        else:
             raise SolverBreakdown(f"relative residual {res:.3e} exceeds {tol:.3g}")
-        steps += max(iterations - 1, 0)   # no triangular solve for a zero rhs
         if precond is not None:
             precond.lu = lu
-        if report is not None:
-            report.factorizations += 1
     if report is not None:
         report.linear_solve_stats.append(float(res))
         report.refine_steps.append(steps)

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from sltfem.assembly import (
     MechanicalBC,
     ThermalBC,
     assemble_mechanical,
+    assemble_thermal,
     l2_norm,
     mechanical_dirichlet,
     strain_displacement,
@@ -152,11 +154,12 @@ class TestLinearSolve:
         assert report.factorizations == 2
 
     @staticmethod
-    def _rise_on_second_pass(monkeypatch):
-        """Relative residuals 1, 1e-6 and 1e-3 for the first three checks of a
-        solve: the second pass of its first CG run makes the residual worse."""
+    def _rise_on_second_pass(monkeypatch, runs=1):
+        """Relative residuals 1, 1e-6 and 1e-3 for each of the first runs
+        triples of checks of a solve: the second pass of each of its first
+        runs CG runs makes the residual worse."""
         call = sltfem.solver._Residual.__call__
-        script = [1.0, 1e-6, 1e-3]
+        script = [1.0, 1e-6, 1e-3] * runs
 
         def scripted(self, x):
             r, res = call(self, x)
@@ -184,12 +187,70 @@ class TestLinearSolve:
 
     def test_rising_residual_on_a_fresh_factor_raises(self, monkeypatch):
         sys0, _, _ = self._plate_systems()
-        script = self._rise_on_second_pass(monkeypatch)
+        script = self._rise_on_second_pass(monkeypatch, runs=2)   # float32, then float64
         precond = Preconditioner()
         with pytest.raises(SolverBreakdown, match="exceeds"):
             linear_solve(sys0, precond=precond)
         assert not script
         assert precond.lu is None
+
+    def test_fresh_factor_is_float32_and_meets_the_contract(self):
+        sys0, _, _ = self._plate_systems()
+        space = FESpace(build_cracked_grid(8, 8), order=2)
+        thermal = assemble_thermal(space, make_params(), 100.0, ThermalBC(value=100.0))
+        for sys in (thermal, sys0):
+            precond, report = Preconditioner(), SolveReport()
+            x = linear_solve(sys, report, precond=precond)
+            assert precond.lu.dtype is np.float32 and report.factorizations == 1
+            self._assert_checked(sys, x, report)
+
+    def test_missed_float32_factor_falls_back_to_float64(self, monkeypatch):
+        sys0, _, _ = self._plate_systems()
+        splu, factors = spla.splu, []
+
+        class Factor:   # a SuperLU that can be weakly referenced
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                return self.lu.solve(rhs)
+
+        def recording(A, **kwargs):
+            assert all(ref() is None for ref in factors)   # one LU alive at a time
+            factor = Factor(splu(A, **kwargs))
+            factors.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(sltfem.solver.spla, "splu", recording)
+        script = self._rise_on_second_pass(monkeypatch)
+        precond, report = Preconditioner(), SolveReport()
+        x = linear_solve(sys0, report, precond=precond)
+        assert not script and len(factors) == 2
+        assert report.factorizations == 2 and precond.lu.dtype is np.float64
+        self._assert_checked(sys0, x, report)
+
+    @pytest.mark.parametrize("failure", ["splu raises", "non-finite solve"])
+    def test_failed_float32_factor_falls_back_to_float64(self, monkeypatch, failure):
+        sys0, _, _ = self._plate_systems()
+        splu = spla.splu
+
+        class NaNFactor:
+            def solve(self, rhs):
+                return np.full_like(rhs, np.nan)
+
+        def failing(A, **kwargs):
+            if A.dtype != np.float32:
+                return splu(A, **kwargs)
+            if failure == "splu raises":
+                raise RuntimeError("Factor is exactly singular")
+            return NaNFactor()
+
+        monkeypatch.setattr(sltfem.solver.spla, "splu", failing)
+        precond, report = Preconditioner(), SolveReport()
+        x = linear_solve(sys0, report, precond=precond)
+        assert precond.lu.dtype is np.float64
+        assert report.factorizations == (1 if failure == "splu raises" else 2)
+        self._assert_checked(sys0, x, report)
 
     def test_cg_gives_up_before_the_budget(self):
         space, p, theta = cracked_setup(8)
