@@ -252,12 +252,12 @@ class AssemblyPlan:
 
     Element matrices are summed into the CSR data through a scatter index,
     in the order a COO-to-CSR conversion sums them. The pattern is sorted
-    from the scalar (row, col) keys; a 2-vector plan expands each scalar
-    entry into its 2x2 block through a BSR-to-CSR conversion. Given
-    Dirichlet data, the plan also holds the pattern left by symmetric
-    elimination, so the reduced matrix is the CSR data under a mask. A plan
-    is tied to its space and boundary data: build it in the solve that uses
-    it, to be freed with it.
+    from the scalar (row, col) keys. Given Dirichlet data, it is the pattern
+    left by symmetric elimination: a fixed row or column keeps only its unit
+    diagonal, and the scatter sends each element entry in a fixed row or
+    column to one slot past the end, which is discarded. A plan is tied to
+    its space and boundary data: build it in the solve that uses it, to be
+    freed with it.
     """
 
     def __init__(self, space: FESpace, block: int,
@@ -268,48 +268,63 @@ class AssemblyPlan:
         keys = (np.repeat(ed, m, axis=1) * ns + np.tile(ed, (1, m))).ravel()
         keys, scatter = np.unique(keys, return_inverse=True)
         rows, cols = np.divmod(keys, ns)
-        indptr = _row_pointer(rows, ns)
-        if block == 2:
-            # Expand scalar entry k into its 2x2 block: scipy's BSR-to-CSR
-            # conversion moves block entry (c, d) of k, numbered 4k + 2c + d + 1,
-            # to its CSR slot.
-            numbered = np.arange(1, 4 * keys.size + 1, dtype=np.int32).reshape(-1, 2, 2)
-            csr = sp.bsr_matrix((numbered, cols, indptr), shape=(2 * ns, 2 * ns)).tocsr()
-            slot = np.empty(csr.nnz, dtype=np.int32)
-            slot[csr.data - 1] = np.arange(csr.nnz, dtype=np.int32)
-            # element entry (e, 2a + c, 2b + d) is block (c, d) of scalar entry (e, a, b)
-            scatter = np.take(slot.reshape(-1, 2, 2), scatter.reshape(ne, m, m), axis=0)
-            scatter = scatter.transpose(0, 1, 3, 2, 4)
-            cols, indptr = csr.indices, csr.indptr
-            rows = np.repeat(np.arange(2 * ns), np.diff(indptr))
         self.n = n = block * ns
-        self.scatter = scatter.astype(np.int32, copy=False).ravel()
-        self.pattern = (cols.astype(np.int32, copy=False), indptr)
-        if dirichlet is None:
-            return
-        if not dirichlet:
-            raise EmptyDirichlet("no Dirichlet degrees of freedom; system is singular")
         self.fixed = np.zeros(n, dtype=bool)
-        self.fixed[list(dirichlet)] = True
         self.lift = np.zeros(n)
-        self.lift[list(dirichlet)] = list(dirichlet.values())
-        self.kept = ~(self.fixed[rows] | self.fixed[cols]) | (rows == cols)
-        self.reduced = (self.pattern[0][self.kept], _row_pointer(rows[self.kept], n))
-        self.unit_diagonal = np.flatnonzero(self.fixed[rows[self.kept]])
+        if dirichlet is not None:
+            if not dirichlet:
+                raise EmptyDirichlet("no Dirichlet degrees of freedom; system is singular")
+            self.fixed[list(dirichlet)] = True
+            self.lift[list(dirichlet)] = list(dirichlet.values())
+        self.dofs = (block * ed[..., None] + np.arange(block)).reshape(ne, -1)
+        # Scalar entry (r, c) stands for entries (block r + i, block c + j). A
+        # fixed row holds only its diagonal; the free rows block r + i hold the
+        # same columns, each free block c + j of scalar row r in (c, j) order.
+        free = ~self.fixed.reshape(ns, block).T
+        free_col = [f[cols] for f in free]
+        count = np.sum(free_col, axis=0, dtype=np.int32)
+        row_first = _row_pointer(rows, ns)[:-1]
+        rank = np.cumsum(count, dtype=np.int32) - count
+        rank -= rank[row_first][rows]   # free columns before the entry in its row
+        lengths = np.where(free, np.add.reduceat(count, row_first), 1).T.ravel()
+        indptr = np.cumsum(np.append(0, lengths), dtype=np.int32)
+        nnz = int(indptr[-1])
+        indices = np.empty(nnz + 1, dtype=np.int32)
+        # element entry (e, block a + i, block b + j) is entry (i, j) of scalar entry (e, a, b)
+        scatter = scatter.reshape(ne, m, m)
+        self.scatter = np.empty((ne, m, block, m, block), dtype=np.int32)
+        for i in range(block):
+            free_row = free[i][rows]
+            slot = indptr[block * rows + i] + rank
+            for j in range(block):
+                target = np.where(free_row & free_col[j], slot, nnz)
+                indices[target] = block * cols + j
+                self.scatter[:, :, i, :, j] = target[scatter]
+                slot += free_col[j]
+        self.scatter = self.scatter.ravel()
+        fixed = np.flatnonzero(self.fixed)
+        self.unit_diagonal = indptr[fixed]
+        indices[self.unit_diagonal] = fixed
+        self.pattern = (indices[:nnz], indptr)
 
     def assemble(self, k_local: np.ndarray) -> sp.csr_matrix:
-        """Global matrix of per-element matrices (ne, m, m)."""
-        data = np.bincount(self.scatter, weights=k_local.ravel(),
-                           minlength=self.pattern[0].size)
+        """Global matrix of per-element matrices (ne, m, m), reduced by
+        symmetric elimination if the plan has Dirichlet data."""
+        nnz = self.pattern[0].size
+        data = np.bincount(self.scatter, weights=k_local.ravel(), minlength=nnz + 1)[:nnz]
+        data[self.unit_diagonal] = 1.0
         return sp.csr_matrix((data, *self.pattern), shape=(self.n, self.n))
 
-    def eliminate(self, K: sp.csr_matrix, f: np.ndarray) -> LinearSystem:
-        """Symmetric elimination of K from assemble(): zero row/col, unit diagonal, rhs lift."""
-        f = f - K @ self.lift
-        f[self.fixed] = self.lift[self.fixed]
-        data = K.data[self.kept]
-        data[self.unit_diagonal] = 1.0
-        return LinearSystem(matrix=sp.csr_matrix((data, *self.reduced), shape=K.shape), rhs=f)
+    def system(self, k_local: np.ndarray, f: np.ndarray,
+               x: np.ndarray | None = None) -> LinearSystem:
+        """The reduced system of per-element matrices k_local with the load
+        f + K (x - lift) on the free dofs (x None: zero) and the lift on the
+        fixed ones, K x summed element by element."""
+        d = -self.lift if x is None else x - self.lift
+        Kd = (k_local @ d[self.dofs][..., None])[..., 0]
+        rhs = f + np.bincount(self.dofs.ravel(), weights=Kd.ravel(), minlength=self.n)
+        rhs[self.fixed] = self.lift[self.fixed]
+        return LinearSystem(matrix=self.assemble(k_local), rhs=rhs)
 
 
 def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
@@ -342,8 +357,7 @@ def assemble_thermal(space: FESpace, p: MaterialParams, Q_source=0.0,
     f_local = np.einsum("eq,qa,eq->ea", Qq, space.N, space.detJxW)
     f = np.bincount(space.element_dofs.ravel(), weights=f_local.ravel(),
                     minlength=space.n_scalar_dofs)
-    plan = AssemblyPlan(space, 1, thermal_dirichlet(space, bc))
-    return plan.eliminate(plan.assemble(k_local), f)
+    return AssemblyPlan(space, 1, thermal_dirichlet(space, bc)).system(k_local, f)
 
 
 def scalar_gradients(field: FEField) -> np.ndarray:
@@ -373,8 +387,9 @@ def strains_at_qps(u: FEField, B: np.ndarray | None = None) -> np.ndarray:
     space = u.space
     if B is None:
         B = strain_displacement(space)
-    u_loc = u.element_values().reshape(space.mesh.n_elements, -1)
-    return np.einsum("eqim,em->eqi", B, u_loc)
+    ne, nqp, _, m = B.shape
+    u_loc = u.element_values().reshape(ne, m, 1)
+    return (B.reshape(ne, -1, m) @ u_loc).reshape(ne, nqp, 3)
 
 
 def mechanical_dirichlet(space: FESpace, bc: MechanicalBC) -> dict[int, float]:
@@ -430,39 +445,43 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
     if f is None:
         f = thermal_load(space, p, theta)
 
+    E = p.E.entries
     eps_prev = strains_at_qps(u_prev, B)
-    t_prev = energy_norm_m(eps_prev, p.E.entries)
+    t_prev = energy_norm_m(eps_prev, E)
     phi, clamps = relaxation_factor_m(t_prev, p)
     scale = phi * space.detJxW
-    # k_e = sum_q B_q^T (C detJ w) B_q, one (m, 3 nqp) @ (3 nqp, m) product
-    ne, _, _, m = B.shape
-    EB = (p.E.entries @ B) * scale[..., None, None]
+    # Per-point material matrix C = phi detJ w E + k n n^T. In the tangent,
+    # (phi'/t)(E eps)(E eps)^T detJ w = k n n^T with n = E eps / t and
+    # k = (b t)^a phi^(1+a) detJ w, and n = 0 at t = 0, where phi'/t is
+    # infinite for a < 2; in the secant system, k n = 0.
+    n = kn = np.zeros_like(eps_prev)
     if tangent:
-        # (phi'/t)(E eps)(E eps)^T = k n n^T with n = E eps / t and
-        # k = (b t)^a phi^(1+a); n = 0 at t = 0, where phi'/t is infinite for a < 2
-        E_eps = eps_prev @ p.E.entries
+        E_eps = eps_prev @ E
         n = np.divide(E_eps, t_prev[..., None], out=np.zeros_like(E_eps),
                       where=t_prev[..., None] > 0.0)
-        k = (p.b * t_prev) ** p.a * phi ** (1.0 + p.a) * space.detJxW
-        nB = np.einsum("eqi,eqim->eqm", n, B)
-        for i in range(3):
-            EB[:, :, i, :] += (k * n[..., i])[..., None] * nB
-        f_int = np.einsum("eqim,eqi->em", B, E_eps * scale[..., None])
-    k_local = B.reshape(ne, -1, m).transpose(0, 2, 1) @ EB.reshape(ne, -1, m)
-    del EB   # freed before the scatter, which holds the global matrix
-    K = plan.assemble(k_local)
+        kn = ((p.b * t_prev) ** p.a * phi ** (1.0 + p.a) * space.detJxW)[..., None] * n
+    C = np.empty(phi.shape + (3, 3))
+    for i, j in np.ndindex(3, 3):
+        C[..., i, j] = scale * E[i, j] + kn[..., i] * n[..., j]
+    # k_e = sum_q B_q^T C_q B_q, one (m, 3 nqp) @ (3 nqp, m) product
+    ne, _, _, m = B.shape
+    Bt = B.reshape(ne, -1, m).transpose(0, 2, 1)
+    CB = (C @ B).reshape(ne, -1, m)
+    del C
+    k_local = Bt @ CB
+    del CB   # freed before the scatter, which holds the global matrix
     if not tangent:
-        return plan.eliminate(K, f), clamps
-    vdofs = space.vector_dofs(space.element_dofs).ravel()
-    f_int = np.bincount(vdofs, weights=f_int.ravel(), minlength=space.n_dofs)
-    sys = plan.eliminate(K, f - f_int + K @ u_prev.values)
+        return plan.system(k_local, f), clamps
+    f_int = (Bt @ (E_eps * scale[..., None]).reshape(ne, -1, 1))[..., 0]
+    f_int = np.bincount(plan.dofs.ravel(), weights=f_int.ravel(), minlength=space.n_dofs)
+    sys = plan.system(k_local, f - f_int, u_prev.values)
     sys.internal_force = f_int
     return sys, clamps
 
 
 def mass_matrix(space: FESpace) -> sp.csr_matrix:
     """Consistent scalar mass matrix of the space (per component)."""
-    m_local = np.einsum("qa,qb,eq->eab", space.N, space.N, space.detJxW)
+    m_local = np.einsum("qa,qb,eq->eab", space.N, space.N, space.detJxW, optimize=True)
     return AssemblyPlan(space, 1).assemble(m_local)
 
 

@@ -250,13 +250,12 @@ class RunResult:
 @dataclass
 class _Setup:
     """What a solve builds before its Newton iteration; none of it depends on
-    a or b (at b = 0 the multiplier is 1 for every a). start is None outside
-    a shared_setup() block: newton_solve then builds its own, freed with it."""
+    a or b (at b = 0 the multiplier is 1 for every a)."""
 
     mesh: CrackedMesh
     u_space: FESpace
     theta: FEField
-    start: _Start | None
+    start: _Start
 
 
 # The set-up of the last solve, keyed by its RunConfig with a and b
@@ -280,36 +279,35 @@ def shared_setup():
         _shared.reset(token)
 
 
-def _build_setup(cfg: RunConfig, shared: bool) -> _Setup:
+def _build_setup(cfg: RunConfig) -> _Setup:
     mesh = cfg.build_mesh()
     p = cfg.material()
     theta_space = FESpace(mesh, order=cfg.element_order, components=1)
     u_space = FESpace(mesh, order=cfg.element_order, components=2)
     theta = solve_thermal(theta_space, p, Q_source=cfg.Q, bc=cfg.thermal_bc())
-    start = _linear_start(u_space, p, theta, cfg.mechanical_bc()) if shared else None
-    return _Setup(mesh, u_space, theta, start)
+    return _Setup(mesh, u_space, theta, _linear_start(u_space, p, theta, cfg.mechanical_bc()))
 
 
 def _setup(cfg: RunConfig) -> _Setup:
     shared = _shared.get()
     if shared is None:
-        return _build_setup(cfg, shared=False)
+        return _build_setup(cfg)
     key = replace(cfg, a=0.0, b=0.0)
     if key not in shared:
         shared.clear()
-        shared[key] = _build_setup(cfg, shared=True)
+        shared[key] = _build_setup(cfg)
     return shared[key]
 
 
 def run_single(cfg: RunConfig) -> RunResult:
     """Thermal solve, Newton mechanical solve, field recovery; the set-up is
-    shared within a shared_setup() block."""
+    shared within a shared_setup() block, and dropped on return outside one."""
     from .postprocess import recover_fields
 
     setup = _setup(cfg)
     p = cfg.material()
     u, report = newton_solve(setup.u_space, p, setup.theta, cfg.mechanical_bc(),
                              cfg.picard(), start=setup.start)
-    fields = recover_fields(u, setup.theta, p)
+    fields = recover_fields(u, setup.theta, p, B=setup.start.B)
     return RunResult(config=cfg, mesh=setup.mesh, theta=setup.theta, u=u, report=report,
                      fields=fields)

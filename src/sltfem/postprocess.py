@@ -15,6 +15,7 @@ from .constitutive import (
     stress_from_strain_m,
     thermal_stress_m,
 )
+from .errors import InadmissibleStrain
 from .mesh import CrackedMesh
 from .tensors import SQRT2
 
@@ -75,17 +76,22 @@ def _project_to_nodes(mesh: CrackedMesh, space, qp_values: np.ndarray) -> np.nda
     return acc / wacc[:, None]
 
 
-def recover_fields(u: FEField, theta: FEField | None, p: MaterialParams
-                   ) -> dict[str, NodalField]:
+def recover_fields(u: FEField, theta: FEField | None, p: MaterialParams,
+                   B: np.ndarray | None = None) -> dict[str, NodalField]:
     """Nodal strain, stress, thermal stress, energy density, norms, principals.
 
-    Raises InadmissibleStrain if any quadrature strain violates the bound,
-    which signals a clamped, non-physical converged state.
+    B is the space's strain_displacement(), built here if not given. Raises
+    InadmissibleStrain, naming the (x, y) of the peak, if any quadrature
+    strain violates the bound, which signals a clamped, non-physical state.
     """
     space = u.space
     mesh = space.mesh
-    eps = strains_at_qps(u)                              # (ne, nqp, 3)
-    sig = stress_from_strain_m(eps, p)
+    eps = strains_at_qps(u, B)                           # (ne, nqp, 3)
+    try:
+        sig = stress_from_strain_m(eps, p)
+    except InadmissibleStrain as exc:
+        x, y = space.qp_xy[exc.location]
+        raise InadmissibleStrain(exc.t, location=f"(x, y) = ({x:.6g}, {y:.6g})") from None
     theta_qp = (np.einsum("ea,qa->eq", theta.element_values(), theta.space.N)
                 if theta is not None else np.zeros(eps.shape[:2]))
     sig_th = thermal_stress_m(sig, theta_qp, p)

@@ -94,8 +94,9 @@ class Preconditioner:
 
     Build one per solve, like AssemblyPlan, to be freed with it. linear_solve
     holds each fresh factor here and drops the held one before it factors
-    again, so one holder keeps at most one LU alive. Within a sweep, the
-    shared b = 0 factor outlives each solve's holder, so two can be.
+    again, so one holder keeps at most one LU alive. The b = 0 factor of a
+    start handed to newton_solve (run_single's set-up, shared within a
+    sweep) outlives the solve's holder, so two can be.
     """
 
     lu: object = None
@@ -122,16 +123,19 @@ class _Residual:
         self.A = A
         bnorm = np.linalg.norm(b)
         self.scale = bnorm if bnorm > 0 else 1.0
-        self._Aw = sp.csr_matrix((A.data.astype(np.longdouble), A.indices, A.indptr),
-                                 shape=A.shape)
         self.b = b
-        self._bw = b.astype(np.longdouble)
-        self._absA = None   # built at the first floor(), after any factorization
+        # built at the first residual and floor of an x, after any factorization
+        self._Aw = self._absA = None
 
     def __call__(self, x: np.ndarray | None) -> tuple[np.ndarray, float]:
         if x is None:
             return self.b.copy(), np.linalg.norm(self.b) / self.scale
-        r = np.asarray(self._bw - self._Aw @ x.astype(np.longdouble), dtype=np.float64)
+        if self._Aw is None:
+            A = self.A
+            self._Aw = sp.csr_matrix((A.data.astype(np.longdouble), A.indices, A.indptr),
+                                     shape=A.shape)
+        r = self.b.astype(np.longdouble) - self._Aw @ x.astype(np.longdouble)
+        r = r.astype(np.float64)
         return r, np.linalg.norm(r) / self.scale
 
     def floor(self, x: np.ndarray | None) -> float:

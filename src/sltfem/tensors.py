@@ -84,6 +84,6 @@ def build_compliance(E: Stiffness3) -> Compliance3:
 def energy_norm_m(eps_m: np.ndarray, E_mat: np.ndarray) -> np.ndarray:
     """sqrt(eps : E[eps]) for an array of Mandel vectors, shape (..., 3)."""
     eps_m = np.asarray(eps_m, dtype=float)
-    q = np.einsum("...i,ij,...j->...", eps_m, E_mat, eps_m)
+    q = np.sum((eps_m @ E_mat) * eps_m, axis=-1)
     return np.sqrt(np.maximum(q, 0.0))
 

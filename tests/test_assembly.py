@@ -361,21 +361,25 @@ def assert_close_rel(actual, expected, rtol=1e-14):
                                atol=rtol * max(abs(expected).max(), 1e-300))
 
 
-def sorted_key_plan(space, dirichlet):
-    """Scatter, pattern, reduced pattern and unit diagonal of a vector plan
-    built by sorting every vector (row, col) key, the construction the plan's
-    derivation from the scalar pattern replaced."""
+def sorted_key_plan(space, dirichlet=None):
+    """Scatter, pattern and unit diagonal of a vector plan built by sorting
+    every vector (row, col) key and masking the full pattern, the
+    construction the plan's derivation from the scalar pattern replaced.
+    Given Dirichlet data, the pattern is the one left by symmetric
+    elimination, and element entries in a fixed row or column scatter to the
+    slot past its end."""
     dofs = space.vector_dofs(space.element_dofs).reshape(space.mesh.n_elements, -1)
     n, m = space.n_dofs, dofs.shape[1]
     keys = (np.repeat(dofs, m, axis=1) * n + np.tile(dofs, (1, m))).ravel()
     keys, scatter = np.unique(keys, return_inverse=True)
     rows, cols = np.divmod(keys, n)
-    pattern = (cols.astype(np.int32), _row_pointer(rows, n))
     fixed = np.zeros(n, dtype=bool)
-    fixed[list(dirichlet)] = True
+    fixed[list(dirichlet or ())] = True
     kept = ~(fixed[rows] | fixed[cols]) | (rows == cols)
-    reduced = (pattern[0][kept], _row_pointer(rows[kept], n))
-    return scatter.astype(np.int32), pattern, reduced, np.flatnonzero(fixed[rows[kept]])
+    slot = np.where(fixed[rows] | fixed[cols], kept.sum(), np.cumsum(kept) - 1)
+    pattern = (cols[kept].astype(np.int32), _row_pointer(rows[kept], n))
+    unit_diagonal = np.flatnonzero(fixed[rows[kept]]).astype(np.int32)
+    return slot[scatter].astype(np.int32), pattern, unit_diagonal
 
 
 PLAN_CASES = [(n, order, b) for n in (4, 8) for order in (1, 2) for b in (0.0, 0.02)]
@@ -431,6 +435,50 @@ class TestAssemblyPlan:
         assert_close_rel(sys.matrix.toarray(), K_ref)
         assert_close_rel(sys.rhs, f_ref)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("b", [0.0, 0.02])
+    @pytest.mark.parametrize("a", [0.5, 2.0])
+    def test_tangent_matches_oracle(self, order, b, a):
+        theta_space, _ = self.thermal(4, order, b)
+        p = make_params(a=a, b=b)
+        theta = solve_thermal(theta_space, p, Q_source=100.0, bc=ThermalBC(value=100.0))
+        space = FESpace(theta_space.mesh, order=order, components=2)
+        u_prev = FEField(space, interpolate_vec(space, lambda x, y: 5.0 * x * y,
+                                                lambda x, y: 3.0 * x * x))
+        bc = MechanicalBC(top_uy=0.1)
+        sys, _ = assemble_mechanical(space, p, theta, u_prev, bc, tangent=True)
+
+        # dsigma/deps = phi E + (phi'/t)(E eps)(E eps)^T at each point,
+        # phi' = b^a t^(a-1) (1 - (b t)^a)^(-1/a-1)
+        E = p.E.entries
+        B = strain_displacement(space)
+        eps = np.einsum("eqim,em->eqi", B, u_prev.element_values().reshape(
+            space.mesh.n_elements, -1))
+        t = np.sqrt(np.einsum("eqi,ij,eqj->eq", eps, E, eps))
+        phi = (1.0 - (b * t) ** a) ** (-1.0 / a)
+        dphi_t = b**a * t ** (a - 2.0) * (1.0 - (b * t) ** a) ** (-1.0 / a - 1.0)
+        E_eps = eps @ E
+        D = phi[..., None, None] * E + dphi_t[..., None, None] * np.einsum(
+            "eqi,eqj->eqij", E_eps, E_eps)
+        k_local = np.einsum("eqim,eq,eqij,eqjn->emn", B, space.detJxW, D, B)
+        f_int_local = np.einsum("eqim,eqi,eq->em", B, phi[..., None] * E_eps, space.detJxW)
+        vdofs = space.vector_dofs(space.element_dofs).ravel()
+        f_int = np.zeros(space.n_dofs)
+        np.add.at(f_int, vdofs, f_int_local.ravel())
+        f_local = -p.alpha * np.einsum("eqi,qa,eq->eai", np.einsum(
+            "ea,eqai->eqi", theta.element_values(), space.dNdx), space.N, space.detJxW)
+        f = np.zeros(space.n_dofs)
+        np.add.at(f, vdofs, f_local.ravel())
+        K = coo_matrix_oracle(space, k_local, 2)
+        K_ref, rhs_ref = eliminate_oracle(K, f - f_int + K @ u_prev.values,
+                                          mechanical_dirichlet(space, bc))
+        assert_close_rel(sys.matrix.toarray(), K_ref)
+        assert_close_rel(sys.internal_force, f_int)
+        # The load f - F_int + K u_prev cancels its larger terms, so either side
+        # rounds at their size.
+        terms = max(abs(f_int).max(), abs(K @ u_prev.values).max())
+        np.testing.assert_allclose(sys.rhs, rhs_ref, rtol=0, atol=1e-14 * terms)
+
     @pytest.mark.parametrize("n,order,b", PLAN_CASES)
     def test_mass_matches_oracle(self, n, order, b):
         space, _ = self.thermal(n, order, b)
@@ -441,18 +489,20 @@ class TestAssemblyPlan:
     @pytest.mark.parametrize("n,order", [(4, 1), (4, 2), (8, 1), (8, 2)])
     def test_vector_plan_matches_sorted_keys(self, n, order):
         space = FESpace(build_cracked_grid(n, n), order=order, components=2)
-        dirichlet = mechanical_dirichlet(space, MechanicalBC(top_uy=0.1))
-        plan = AssemblyPlan(space, 2, dirichlet)
-        scatter, pattern, reduced, unit_diagonal = sorted_key_plan(space, dirichlet)
-        for got, want in [(plan.scatter, scatter), *zip(plan.pattern, pattern),
-                          *zip(plan.reduced, reduced), (plan.unit_diagonal, unit_diagonal)]:
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
         m = 2 * space.element_dofs.shape[1]
         k_local = np.random.default_rng(n).normal(size=(space.mesh.n_elements, m, m))
-        np.testing.assert_array_equal(
-            plan.assemble(k_local).data,
-            np.bincount(scatter, weights=k_local.ravel(), minlength=pattern[0].size))
+        for dirichlet in (None, mechanical_dirichlet(space, MechanicalBC(top_uy=0.1))):
+            plan = AssemblyPlan(space, 2, dirichlet)
+            scatter, pattern, unit_diagonal = sorted_key_plan(space, dirichlet)
+            assert unit_diagonal.size == len(dirichlet or ())
+            for got, want in [(plan.scatter, scatter), *zip(plan.pattern, pattern),
+                              (plan.unit_diagonal, unit_diagonal)]:
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            nnz = pattern[0].size
+            data = np.bincount(scatter, weights=k_local.ravel(), minlength=nnz + 1)[:nnz]
+            data[unit_diagonal] = 1.0
+            np.testing.assert_array_equal(plan.assemble(k_local).data, data)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_dirichlet_rows_and_columns_hold_unit_diagonal(self, order):

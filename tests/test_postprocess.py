@@ -6,6 +6,7 @@ import pytest
 import sltfem.config
 import sltfem.solver
 from sltfem import (
+    InadmissibleStrain,
     MaterialParams,
     build_cracked_grid,
     build_grid,
@@ -72,6 +73,17 @@ class TestRecoverFields:
         np.testing.assert_allclose(fields["stress"].values,
                                    np.tile(expected_sig, (space.mesh.n_nodes, 1)),
                                    atol=1e-10)
+
+    def test_inadmissible_strain_names_its_location(self):
+        # u_x = 50 x^2 y: b t grows with x y and peaks at the quadrature point
+        # nearest (1, 1), x = y = 0.875 + 0.125 sqrt(3/5) for 3x3 Gauss on 4x4
+        space = FESpace(build_grid(4, 4), order=2, components=2)
+        vals = np.zeros(space.n_dofs)
+        vals[0::2] = 50.0 * space.dof_coords[:, 0] ** 2 * space.dof_coords[:, 1]
+        xy = 0.875 + 0.125 * np.sqrt(0.6)
+        with pytest.raises(InadmissibleStrain,
+                           match=rf"at \(x, y\) = \({xy:.6g}, {xy:.6g}\)$"):
+            recover_fields(FEField(space, vals), None, make_params())
 
     def test_recovered_strains_respect_bound(self):
         cfg = RunConfig(nx=8, ny=8, Q=100.0)
