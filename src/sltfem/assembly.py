@@ -422,7 +422,8 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
                         B: np.ndarray | None = None,
                         plan: AssemblyPlan | None = None,
                         f: np.ndarray | None = None,
-                        tangent: bool = False) -> tuple[LinearSystem, int]:
+                        tangent: bool = False,
+                        eps_prev: np.ndarray | None = None) -> tuple[LinearSystem, int]:
     """Elasticity linearized at u_prev, with the thermal-gradient body force.
 
     By default the Picard system: the multiplier phi is evaluated from u_prev
@@ -434,7 +435,8 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
     F_int as internal_force. Returns the reduced system and the number of
     clamp events. A solve that assembles repeatedly passes B,
     plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc)) and
-    f = thermal_load(space, p, theta), each built once.
+    f = thermal_load(space, p, theta), each built once, and may pass the
+    strains of u_prev, strains_at_qps(u_prev, B), as eps_prev.
     """
     if space.components != 2:
         raise ValueError("mechanical problem needs a 2-vector space")
@@ -446,7 +448,8 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
         f = thermal_load(space, p, theta)
 
     E = p.E.entries
-    eps_prev = strains_at_qps(u_prev, B)
+    if eps_prev is None:
+        eps_prev = strains_at_qps(u_prev, B)
     t_prev = energy_norm_m(eps_prev, E)
     phi, clamps = relaxation_factor_m(t_prev, p)
     scale = phi * space.detJxW

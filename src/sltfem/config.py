@@ -7,10 +7,14 @@ default; command-line `--key value` flags override file values.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
+import scipy.sparse as sp
+
+from . import solver
 from .assembly import FESpace, MechanicalBC, ThermalBC
 from .constitutive import MaterialParams
 from .errors import InvariantViolation, TypeMismatch, UnknownKey
@@ -19,7 +23,8 @@ from .solver import (  # noqa: F401 -- picard_solve stays in this namespace for 
     FEField,
     PicardConfig,
     SolveReport,
-    _linear_start,
+    _b0_system,
+    _loaded_start,
     _Start,
     newton_solve,
     picard_solve,
@@ -279,13 +284,34 @@ def shared_setup():
         _shared.reset(token)
 
 
+def _thermal_branch(cfg: RunConfig, mesh: CrackedMesh, p: MaterialParams
+                    ) -> tuple[FEField, sp.csr_matrix]:
+    """The scalar space, the thermal solve, and the mass matrix, which the
+    scalar and the vector space share. mass_matrix is looked up in the
+    solver module, where perfbench/tracing.py times _linear_start's."""
+    space = FESpace(mesh, order=cfg.element_order, components=1)
+    theta = solve_thermal(space, p, Q_source=cfg.Q, bc=cfg.thermal_bc())
+    return theta, solver.mass_matrix(space)
+
+
 def _build_setup(cfg: RunConfig) -> _Setup:
+    """Mesh, thermal solve and b = 0 start. _thermal_branch runs on a second
+    thread while this one builds the part of the start that needs no theta;
+    the b = 0 system is factored after the join, so SuperLU never runs on
+    both threads at once. A thermal error is raised first, as if the two
+    ran in sequence."""
     mesh = cfg.build_mesh()
     p = cfg.material()
-    theta_space = FESpace(mesh, order=cfg.element_order, components=1)
-    u_space = FESpace(mesh, order=cfg.element_order, components=2)
-    theta = solve_thermal(theta_space, p, Q_source=cfg.Q, bc=cfg.thermal_bc())
-    return _Setup(mesh, u_space, theta, _linear_start(u_space, p, theta, cfg.mechanical_bc()))
+    with ThreadPoolExecutor(1) as pool:
+        thermal = pool.submit(_thermal_branch, cfg, mesh, p)
+        try:
+            u_space = FESpace(mesh, order=cfg.element_order, components=2)
+            b0 = _b0_system(u_space, p, cfg.mechanical_bc())
+        except BaseException:
+            thermal.result()
+            raise
+        theta, M = thermal.result()
+    return _Setup(mesh, u_space, theta, _loaded_start(u_space, p, theta, M, b0))
 
 
 def _setup(cfg: RunConfig) -> _Setup:

@@ -70,8 +70,9 @@ def _project_to_nodes(mesh: CrackedMesh, space, qp_values: np.ndarray) -> np.nda
     Ngeo, _ = shape_functions(1, space.qp_ref)          # (nqp, 4)
     w = Ngeo.T[None] * space.detJxW[:, None, :]         # (ne, 4, nqp)
     nodes = mesh.elements.ravel()
-    acc = np.zeros((mesh.n_nodes, qp_values.shape[-1]))
-    np.add.at(acc, nodes, (w @ qp_values).reshape(nodes.size, -1))
+    values = (w @ qp_values).reshape(nodes.size, -1)
+    acc = np.column_stack([np.bincount(nodes, weights=c, minlength=mesh.n_nodes)
+                           for c in values.T])
     wacc = np.bincount(nodes, weights=w.sum(axis=2).ravel(), minlength=mesh.n_nodes)
     return acc / wacc[:, None]
 

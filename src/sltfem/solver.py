@@ -309,20 +309,36 @@ class _Start:
                        precond=Preconditioner(self.precond.lu))
 
 
+def _b0_system(space: FESpace, p: MaterialParams, bc: MechanicalBC
+               ) -> tuple[np.ndarray, AssemblyPlan, LinearSystem]:
+    """The part of a start that needs no theta: B, the Dirichlet plan, and
+    the b = 0 system without its thermal load."""
+    B = strain_displacement(space)
+    plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
+    p_lin = p if p.b == 0.0 else replace(p, b=0.0)
+    sys, _ = assemble_mechanical(space, p_lin, None, FEField.zero(space), bc, B=B, plan=plan)
+    return B, plan, sys
+
+
+def _loaded_start(space: FESpace, p: MaterialParams, theta: FEField | None,
+                  M: sp.csr_matrix, b0: tuple[np.ndarray, AssemblyPlan, LinearSystem]
+                  ) -> _Start:
+    """The start from the mass matrix and a _b0_system, whose system gets
+    the thermal load on its free dofs (the same sum as a system assembled
+    with it) and is solved."""
+    B, plan, sys = b0
+    f = thermal_load(space, p, theta)
+    free = ~plan.fixed
+    sys.rhs[free] += f[free]
+    report, precond = SolveReport(), Preconditioner()
+    u = FEField(space, linear_solve(sys, report, precond=precond))
+    load = float(np.linalg.norm(sys.rhs[free]))
+    return _Start(report, B, M, plan, f, precond, u, load or 1.0)
+
+
 def _linear_start(space: FESpace, p: MaterialParams, theta: FEField | None,
                   bc: MechanicalBC) -> _Start:
-    report = SolveReport()
-    B = strain_displacement(space)
-    M = mass_matrix(space)
-    plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
-    f = thermal_load(space, p, theta)
-    precond = Preconditioner()
-    p_lin = p if p.b == 0.0 else replace(p, b=0.0)
-    sys, _ = assemble_mechanical(space, p_lin, theta, FEField.zero(space), bc,
-                                 B=B, plan=plan, f=f)
-    u = FEField(space, linear_solve(sys, report, precond=precond))
-    load = float(np.linalg.norm(sys.rhs[~plan.fixed]))
-    return _Start(report, B, M, plan, f, precond, u, load or 1.0)
+    return _loaded_start(space, p, theta, mass_matrix(space), _b0_system(space, p, bc))
 
 
 def picard_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
@@ -356,27 +372,28 @@ def picard_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
     return u, report
 
 
-def _peak_bt(u: FEField, p: MaterialParams, B: np.ndarray) -> tuple[float, tuple]:
-    """Peak b*t over the quadrature points, and its (x, y)."""
-    t = energy_norm_m(strains_at_qps(u, B), p.E.entries)
+def _peak_bt(eps: np.ndarray, p: MaterialParams, space: FESpace) -> tuple[float, tuple]:
+    """Peak b*t over the quadrature points of the strains eps, and its (x, y)."""
+    t = energy_norm_m(eps, p.E.entries)
     e, q = np.unravel_index(int(np.argmax(t)), t.shape)
-    x, y = u.space.qp_xy[e, q]
+    x, y = space.qp_xy[e, q]
     return p.b * float(t[e, q]), (round(float(x), 6), round(float(y), 6))
 
 
-def _scaled_start(start: _Start, p: MaterialParams) -> tuple[FEField, float]:
-    """Newton's start and its energy: the b = 0 solution u0 scaled toward the
-    Dirichlet lift, u = lift + s (u0 - lift). From s = 1, s is halved, at most
-    20 times, while the peak b*t of u exceeds 0.9 or Pi at s/2 is lower than
-    at s, with Pi = inf where u violates the strain limit: a line search on
-    the convex Pi along the ray, which u0 overshoots where the law is far
-    stiffer than linear elasticity. If u0 has to be scaled, its peak b*t
-    exceeding 0.9, and the lift violates the limit, InadmissibleStrain is
-    raised."""
-    u0, lift = start.u, start.plan.lift
-    bt = _peak_bt(u0, p, start.B)[0]
+def _scaled_start(start: _Start, p: MaterialParams) -> tuple[FEField, float, np.ndarray]:
+    """Newton's start, its energy and its strains: the b = 0 solution u0
+    scaled toward the Dirichlet lift, u = lift + s (u0 - lift). From s = 1,
+    s is halved, at most 20 times, while the peak b*t of u exceeds 0.9 or Pi
+    at s/2 is lower than at s, with Pi = inf where u violates the strain
+    limit: a line search on the convex Pi along the ray, which u0 overshoots
+    where the law is far stiffer than linear elasticity. If u0 has to be
+    scaled, its peak b*t exceeding 0.9, and the lift violates the limit,
+    InadmissibleStrain is raised."""
+    u0, lift, space = start.u, start.plan.lift, start.u.space
+    eps = strains_at_qps(u0, start.B)
+    bt = _peak_bt(eps, p, space)[0]
     if bt > 0.9:
-        lift_bt, xy = _peak_bt(FEField(u0.space, lift), p, start.B)
+        lift_bt, xy = _peak_bt(strains_at_qps(FEField(space, lift), start.B), p, space)
         if lift_bt >= 1.0 - DELTA_GUARD:
             raise InadmissibleStrain(
                 lift_bt / p.b, location=f"(x, y) = {xy}: the b = 0 start has b t above "
@@ -384,21 +401,23 @@ def _scaled_start(start: _Start, p: MaterialParams) -> tuple[FEField, float]:
                 "displacements, zero at every free dof) violates the strain limit; "
                 "lower mechanical_bc.top_uy, thermal_bc.Q or material.b")
     u, s = u0, 1.0
-    energy = _energy(u0, p, start.B, start.f)
+    energy = _energy(u0, p, eps, start.f)
     for _ in range(20):
-        half = FEField(u0.space, lift + 0.5 * s * (u0.values - lift))
-        half_energy = _energy(half, p, start.B, start.f)
+        half = FEField(space, lift + 0.5 * s * (u0.values - lift))
+        half_eps = strains_at_qps(half, start.B)
+        half_energy = _energy(half, p, half_eps, start.f)
         if bt <= 0.9 and not half_energy < energy:
             break
-        u, s, energy = half, 0.5 * s, half_energy
-        bt = _peak_bt(u, p, start.B)[0]
-    return u, energy
+        u, s, energy, eps = half, 0.5 * s, half_energy, half_eps
+        bt = _peak_bt(eps, p, space)[0]
+    return u, energy, eps
 
 
-def _energy(u: FEField, p: MaterialParams, B: np.ndarray, f: np.ndarray) -> float:
-    """Pi(u) = sum_q W(eps(u)) detJ w - f.u; inf where u violates the strain limit."""
+def _energy(u: FEField, p: MaterialParams, eps: np.ndarray, f: np.ndarray) -> float:
+    """Pi(u) = sum_q W(eps) detJ w - f.u, with eps the strains of u; inf
+    where u violates the strain limit."""
     try:
-        W = strain_energy_density_m(strains_at_qps(u, B), p)
+        W = strain_energy_density_m(eps, p)
     except InadmissibleStrain:
         return np.inf
     return float(np.sum(W * u.space.detJxW) - f @ u.values)
@@ -445,12 +464,13 @@ def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
     """
     start = _linear_start(space, p, theta, bc) if start is None else start.fresh()
     report = start.report
-    u, energy = _scaled_start(start, p)
+    u, energy, eps = _scaled_start(start, p)
     eta, r_prev = 0.0, None
     for _ in range(cfg.max_iter):
         sys = None   # freed before the next assembly, while the held LU is alive
         sys, clamps = assemble_mechanical(space, p, theta, u, bc, B=start.B,
-                                          plan=start.plan, f=start.f, tangent=True)
+                                          plan=start.plan, f=start.f, tangent=True,
+                                          eps_prev=eps)
         report.clamp_events += clamps
         r_norm = np.linalg.norm(sys.rhs - sys.matrix @ u.values)
         force = float(np.linalg.norm(sys.internal_force))
@@ -465,9 +485,10 @@ def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
         step = cfg.damping
         while step >= cfg.damping * _MIN_STEP:
             trial = FEField(space, u.values + step * d)
-            trial_energy = _energy(trial, p, start.B, start.f)
+            trial_eps = strains_at_qps(trial, start.B)
+            trial_energy = _energy(trial, p, trial_eps, start.f)
             if trial_energy <= energy + 10.0 * _EPS * abs(energy):
-                u, energy = trial, trial_energy
+                u, energy, eps = trial, trial_energy, trial_eps
                 break
             step *= 0.5
         if inc < cfg.tol and report.residuals[-1] <= _FORCE_TOL:
@@ -476,7 +497,7 @@ def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
         if step < cfg.damping * _MIN_STEP:
             break
     if not report.converged:
-        bt, xy = _peak_bt(u, p, start.B)
+        bt, xy = _peak_bt(eps, p, space)
         if bt >= 1.0 - 2.0 * DELTA_GUARD:
             raise InadmissibleStrain(
                 bt / p.b, location=f"(x, y) = {xy}, where the unconverged iterates "

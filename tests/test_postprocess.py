@@ -1,13 +1,17 @@
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import sltfem.config
 import sltfem.solver
 from sltfem import (
     InadmissibleStrain,
     MaterialParams,
+    SolverBreakdown,
     build_cracked_grid,
     build_grid,
     crack_opening_profile,
@@ -21,6 +25,7 @@ from sltfem.cli import scenario_config
 from sltfem.config import RunConfig, run_single
 from sltfem.constitutive import stress_from_strain_m
 from sltfem.postprocess import NodalField, _principal_values
+from sltfem.solver import newton_solve, solve_thermal
 from sltfem.tensors import SQRT2, energy_norm_m
 
 
@@ -206,6 +211,86 @@ class TestSharedSetUp:
         rows = run_sweep(self.CFG, "b", (0.0, 0.01, 0.02))
         assert [r.config.b for r in results] == [0.0, 0.01, 0.02]
         assert [r.iterations for r in rows] == [r.report.iterations for r in results]
+
+
+class TestThreadedSetUp:
+    """run_single solves the thermal problem on a second thread while the
+    b = 0 system is built, and joins it before the mechanical factorization."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_the_sequential_solve(self, order):
+        cfg = scenario_config("x", "constant", 8, 8, order=order)
+        got = run_single(cfg)
+        mesh, p = cfg.build_mesh(), cfg.material()
+        theta = solve_thermal(FESpace(mesh, order=order, components=1), p,
+                              Q_source=cfg.Q, bc=cfg.thermal_bc())
+        u, report = newton_solve(FESpace(mesh, order=order, components=2), p, theta,
+                                 cfg.mechanical_bc(), cfg.picard())
+        np.testing.assert_array_equal(got.theta.values, theta.values)
+        np.testing.assert_array_equal(got.u.values, u.values)
+        for name, fld in recover_fields(u, theta, p).items():
+            np.testing.assert_array_equal(got.fields[name].values, fld.values)
+        assert got.report == report
+
+    def test_superlu_calls_never_overlap(self, monkeypatch):
+        calls = []   # (thread, start, end) of each factorization and triangular solve
+        splu = spla.splu
+
+        def timed(fn, *args, **kwargs):
+            start = time.perf_counter()
+            out = fn(*args, **kwargs)
+            time.sleep(0.02)   # widens each call, so an overlap cannot slip between
+            calls.append((threading.get_ident(), start, time.perf_counter()))
+            return out
+
+        class Factor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                return timed(self.lu.solve, rhs)
+
+        monkeypatch.setattr(spla, "splu", lambda *a, **kw: Factor(timed(splu, *a, **kw)))
+        run_single(scenario_config("x", "constant", 16, 16))
+        assert len({thread for thread, _, _ in calls}) == 2   # thermal on the worker
+        calls.sort(key=lambda c: c[1])
+        for (t1, _, end), (t2, start, _) in zip(calls, calls[1:]):
+            assert t1 == t2 or end <= start
+
+    @pytest.mark.parametrize("mechanical_fails", [None, "first", "second"])
+    def test_thermal_error_is_raised_unchanged_and_first(self, monkeypatch,
+                                                         mechanical_fails):
+        error = SolverBreakdown("sparse factorization failed: thermal")
+        failed = threading.Event()
+
+        def thermal(*args, **kwargs):
+            if mechanical_fails == "first":
+                failed.wait(5.0)
+            failed.set()
+            raise error
+
+        def mechanical(*args):
+            if mechanical_fails == "second":
+                failed.wait(5.0)
+            failed.set()
+            raise SolverBreakdown("mechanical")
+
+        monkeypatch.setattr(sltfem.config, "solve_thermal", thermal)
+        if mechanical_fails:
+            monkeypatch.setattr(sltfem.config, "_b0_system", mechanical)
+        threads = threading.active_count()
+        with pytest.raises(SolverBreakdown) as raised:
+            run_single(scenario_config("x", "constant", 4, 4))
+        assert raised.value is error and threading.active_count() == threads
+
+    def test_no_thread_outlives_the_set_up(self, monkeypatch):
+        threads = threading.active_count()
+        run_single(scenario_config("x", "constant", 4, 4))
+        assert threading.active_count() == threads
+        monkeypatch.setattr(sltfem.config, "_b0_system", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run_single(scenario_config("x", "constant", 4, 4))
+        assert threading.active_count() == threads
 
 
 class TestWriteVtk:
