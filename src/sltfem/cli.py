@@ -214,6 +214,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "reproduce" and overrides:
         parser.error(f"unrecognized arguments: {' '.join('--' + k for k in overrides)}")
+    if args.command == "reproduce" and min(args.nx, args.ny) < 2:
+        p_rep.error("--nx and --ny must be at least 2 on a cracked mesh")
     try:
         if args.command == "solve":
             cfg = _load_config(args.config, overrides)

@@ -12,8 +12,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
-import scipy.sparse as sp
-
 from . import solver
 from .assembly import FESpace, MechanicalBC, ThermalBC
 from .constitutive import MaterialParams
@@ -24,8 +22,7 @@ from .solver import (  # noqa: F401 -- picard_solve stays in this namespace for 
     PicardConfig,
     SolveReport,
     _b0_system,
-    _loaded_start,
-    _Start,
+    _loaded_setup,
     newton_solve,
     picard_solve,
     solve_thermal,
@@ -134,8 +131,10 @@ def _validate(cfg: RunConfig, lines: dict[str, int] | None = None) -> RunConfig:
     def bad(key, msg):
         raise InvariantViolation(key, lines.get(key, 0), msg)
 
-    if cfg.nx < 1 or cfg.ny < 1:
-        bad("mesh.nx", f"mesh {cfg.nx}x{cfg.ny} must be at least 1x1")
+    least = 1 if cfg.crack is None else 2   # a cracked grid needs an interior line
+    for key, n in (("mesh.nx", cfg.nx), ("mesh.ny", cfg.ny)):
+        if n < least:
+            bad(key, f"{n} must be at least {least}" + (" on a cracked mesh" if cfg.crack else ""))
     if cfg.element_order not in (1, 2):
         bad("element_order", f"{cfg.element_order} must be 1 or 2")
     if cfg.thermal_kind not in ("constant", "parabolic"):
@@ -252,20 +251,9 @@ class RunResult:
     fields: dict
 
 
-@dataclass
-class _Setup:
-    """What a solve builds before its Newton iteration; none of it depends on
-    a or b (at b = 0 the multiplier is 1 for every a)."""
-
-    mesh: CrackedMesh
-    u_space: FESpace
-    theta: FEField
-    start: _Start
-
-
 # The set-up of the last solve, keyed by its RunConfig with a and b
 # neutralised, while a shared_setup() block is open in this context.
-_shared: ContextVar[dict[RunConfig, _Setup] | None] = ContextVar("_shared", default=None)
+_shared: ContextVar[dict[RunConfig, solver._Setup] | None] = ContextVar("_shared", default=None)
 
 
 @contextmanager
@@ -284,22 +272,18 @@ def shared_setup():
         _shared.reset(token)
 
 
-def _thermal_branch(cfg: RunConfig, mesh: CrackedMesh, p: MaterialParams
-                    ) -> tuple[FEField, sp.csr_matrix]:
-    """The scalar space, the thermal solve, and the mass matrix, which the
-    scalar and the vector space share. mass_matrix is looked up in the
-    solver module, where perfbench/tracing.py times _linear_start's."""
+def _thermal_branch(cfg: RunConfig, mesh: CrackedMesh, p: MaterialParams) -> FEField:
+    """The scalar space and the thermal solve on it."""
     space = FESpace(mesh, order=cfg.element_order, components=1)
-    theta = solve_thermal(space, p, Q_source=cfg.Q, bc=cfg.thermal_bc())
-    return theta, solver.mass_matrix(space)
+    return solve_thermal(space, p, Q_source=cfg.Q, bc=cfg.thermal_bc())
 
 
-def _build_setup(cfg: RunConfig) -> _Setup:
-    """Mesh, thermal solve and b = 0 start. _thermal_branch runs on a second
-    thread while this one builds the part of the start that needs no theta;
-    the b = 0 system is factored after the join, so SuperLU never runs on
-    both threads at once. A thermal error is raised first, as if the two
-    ran in sequence."""
+def _build_setup(cfg: RunConfig) -> solver._Setup:
+    """The set-up of cfg. _thermal_branch runs on a second thread while this
+    one builds the vector space and the part of the set-up that needs no
+    theta; the b = 0 system gets its thermal load and is factored after the
+    join, so SuperLU never runs on both threads at once. A thermal error is
+    raised first, as if the two ran in sequence."""
     mesh = cfg.build_mesh()
     p = cfg.material()
     with ThreadPoolExecutor(1) as pool:
@@ -310,11 +294,11 @@ def _build_setup(cfg: RunConfig) -> _Setup:
         except BaseException:
             thermal.result()
             raise
-        theta, M = thermal.result()
-    return _Setup(mesh, u_space, theta, _loaded_start(u_space, p, theta, M, b0))
+        theta = thermal.result()
+    return _loaded_setup(u_space, p, theta, b0)
 
 
-def _setup(cfg: RunConfig) -> _Setup:
+def _setup(cfg: RunConfig) -> solver._Setup:
     shared = _shared.get()
     if shared is None:
         return _build_setup(cfg)
@@ -332,8 +316,9 @@ def run_single(cfg: RunConfig) -> RunResult:
 
     setup = _setup(cfg)
     p = cfg.material()
-    u, report = newton_solve(setup.u_space, p, setup.theta, cfg.mechanical_bc(),
-                             cfg.picard(), start=setup.start)
-    fields = recover_fields(u, setup.theta, p, B=setup.start.B)
-    return RunResult(config=cfg, mesh=setup.mesh, theta=setup.theta, u=u, report=report,
+    space = setup.u.space
+    u, report = newton_solve(space, p, setup.theta, cfg.mechanical_bc(), cfg.picard(),
+                             start=setup)
+    fields = recover_fields(u, setup.theta, p, B=setup.B)
+    return RunResult(config=cfg, mesh=space.mesh, theta=setup.theta, u=u, report=report,
                      fields=fields)

@@ -137,8 +137,8 @@ def run_sweep(base_config, parameter: str, values) -> list["SweepRow"]:
     """One full solve per parameter value on the identical mesh.
 
     Each value is solved by config.run_single, looked up per call, inside a
-    config.shared_setup() block: the mesh, spaces, thermal solve and b = 0
-    start are built once for the sweep.
+    config.shared_setup() block: the one set-up (mesh, spaces, theta, b = 0
+    start and factor) is built once for the sweep.
     """
     from . import config  # deferred: config imports postprocess
 

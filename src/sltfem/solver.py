@@ -20,7 +20,7 @@ from .assembly import (
     assemble_mechanical,
     assemble_thermal,
     l2_norm,
-    mass_matrix,
+    mass_matrix,  # noqa: F401 -- stays in this namespace for perfbench/tracing.py
     mechanical_dirichlet,
     strain_displacement,
     strains_at_qps,
@@ -95,8 +95,8 @@ class Preconditioner:
     Build one per solve, like AssemblyPlan, to be freed with it. linear_solve
     holds each fresh factor here and drops the held one before it factors
     again, so one holder keeps at most one LU alive. The b = 0 factor of a
-    start handed to newton_solve (run_single's set-up, shared within a
-    sweep) outlives the solve's holder, so two can be.
+    set-up handed to newton_solve as its start (run_single's, shared within
+    a sweep) outlives the fresh() holder of each solve, so two can be.
     """
 
     lu: object = None
@@ -285,24 +285,26 @@ def solve_thermal(space: FESpace, p: MaterialParams, Q_source=0.0,
 
 
 @dataclass
-class _Start:
-    """Set-up shared by the nonlinear solvers, and the b = 0 solution u they
-    start from; load is the norm of the free part of the b = 0 right-hand
-    side (1 if it is zero). report and precond hold the b = 0 solve's history
-    and factor. Nothing here depends on a or b, so a sweep builds one start
-    and hands each solve a fresh() copy."""
+class _Setup:
+    """Everything a solve builds before its nonlinear iteration: theta, the
+    b = 0 solution u it starts from (u.space is the displacement space), B,
+    the Dirichlet plan, the thermal load f, and load, the norm of the free
+    part of the b = 0 right-hand side (1 if it is zero). report and precond
+    hold the b = 0 solve's history and factor. Nothing here depends on a or
+    b (at b = 0 the multiplier is 1 for every a), so a sweep builds one
+    set-up and hands each solve a fresh() copy."""
 
-    report: SolveReport
+    theta: FEField | None
+    u: FEField
     B: np.ndarray
-    M: sp.csr_matrix
     plan: AssemblyPlan
     f: np.ndarray
-    precond: Preconditioner
-    u: FEField
     load: float
+    report: SolveReport
+    precond: Preconditioner
 
-    def fresh(self) -> "_Start":
-        """This start for one more solve: a copy of the b = 0 report, and a
+    def fresh(self) -> "_Setup":
+        """This set-up for one more solve: a copy of the b = 0 report, and a
         Preconditioner of its own holding the shared factor, so a fallback
         factorization replaces only that solve's holder."""
         return replace(self, report=deepcopy(self.report),
@@ -311,7 +313,7 @@ class _Start:
 
 def _b0_system(space: FESpace, p: MaterialParams, bc: MechanicalBC
                ) -> tuple[np.ndarray, AssemblyPlan, LinearSystem]:
-    """The part of a start that needs no theta: B, the Dirichlet plan, and
+    """The part of a set-up that needs no theta: B, the Dirichlet plan, and
     the b = 0 system without its thermal load."""
     B = strain_displacement(space)
     plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
@@ -320,12 +322,11 @@ def _b0_system(space: FESpace, p: MaterialParams, bc: MechanicalBC
     return B, plan, sys
 
 
-def _loaded_start(space: FESpace, p: MaterialParams, theta: FEField | None,
-                  M: sp.csr_matrix, b0: tuple[np.ndarray, AssemblyPlan, LinearSystem]
-                  ) -> _Start:
-    """The start from the mass matrix and a _b0_system, whose system gets
-    the thermal load on its free dofs (the same sum as a system assembled
-    with it) and is solved."""
+def _loaded_setup(space: FESpace, p: MaterialParams, theta: FEField | None,
+                  b0: tuple[np.ndarray, AssemblyPlan, LinearSystem]) -> _Setup:
+    """The set-up from theta and a _b0_system, whose system gets the thermal
+    load on its free dofs (the same sum as a system assembled with it) and
+    is solved."""
     B, plan, sys = b0
     f = thermal_load(space, p, theta)
     free = ~plan.fixed
@@ -333,12 +334,7 @@ def _loaded_start(space: FESpace, p: MaterialParams, theta: FEField | None,
     report, precond = SolveReport(), Preconditioner()
     u = FEField(space, linear_solve(sys, report, precond=precond))
     load = float(np.linalg.norm(sys.rhs[free]))
-    return _Start(report, B, M, plan, f, precond, u, load or 1.0)
-
-
-def _linear_start(space: FESpace, p: MaterialParams, theta: FEField | None,
-                  bc: MechanicalBC) -> _Start:
-    return _loaded_start(space, p, theta, mass_matrix(space), _b0_system(space, p, bc))
+    return _Setup(theta, u, B, plan, f, load or 1.0, report, precond)
 
 
 def picard_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
@@ -349,20 +345,20 @@ def picard_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
     Starts from the b=0 linear solve; each step freezes the nonlinear
     multiplier at the previous iterate. The factor of the b=0 system
     preconditions CG on each later system, started from the previous iterate.
-    The increment norm is the L2 norm of the displacement difference
-    (consistent mass matrix). Non-convergence is reported, not raised.
+    The increment norm is the L2 norm of the displacement difference at the
+    quadrature points (l2_norm). Non-convergence is reported, not raised.
     """
-    start = _linear_start(space, p, theta, bc)
-    report, u = start.report, start.u
+    setup = _loaded_setup(space, p, theta, _b0_system(space, p, bc))
+    report, u = setup.report, setup.u
     omega = cfg.damping
     for _ in range(cfg.max_iter):
         sys = None   # freed before the next assembly, while the held LU is alive
-        sys, clamps = assemble_mechanical(space, p, theta, u, bc, B=start.B,
-                                          plan=start.plan, f=start.f)
+        sys, clamps = assemble_mechanical(space, p, theta, u, bc, B=setup.B,
+                                          plan=setup.plan, f=setup.f)
         report.clamp_events += clamps
-        x = linear_solve(sys, report, x0=u.values, precond=start.precond)
+        x = linear_solve(sys, report, x0=u.values, precond=setup.precond)
         u_new = omega * x + (1.0 - omega) * u.values
-        inc = l2_norm(space, u_new - u.values, M=start.M)
+        inc = l2_norm(space, u_new - u.values)
         report.increments.append(inc)
         report.iterations += 1
         u = FEField(space, u_new)
@@ -380,7 +376,7 @@ def _peak_bt(eps: np.ndarray, p: MaterialParams, space: FESpace) -> tuple[float,
     return p.b * float(t[e, q]), (round(float(x), 6), round(float(y), 6))
 
 
-def _scaled_start(start: _Start, p: MaterialParams) -> tuple[FEField, float, np.ndarray]:
+def _scaled_start(setup: _Setup, p: MaterialParams) -> tuple[FEField, float, np.ndarray]:
     """Newton's start, its energy and its strains: the b = 0 solution u0
     scaled toward the Dirichlet lift, u = lift + s (u0 - lift). From s = 1,
     s is halved, at most 20 times, while the peak b*t of u exceeds 0.9 or Pi
@@ -389,11 +385,11 @@ def _scaled_start(start: _Start, p: MaterialParams) -> tuple[FEField, float, np.
     where the law is far stiffer than linear elasticity. If u0 has to be
     scaled, its peak b*t exceeding 0.9, and the lift violates the limit,
     InadmissibleStrain is raised."""
-    u0, lift, space = start.u, start.plan.lift, start.u.space
-    eps = strains_at_qps(u0, start.B)
+    u0, lift, space = setup.u, setup.plan.lift, setup.u.space
+    eps = strains_at_qps(u0, setup.B)
     bt = _peak_bt(eps, p, space)[0]
     if bt > 0.9:
-        lift_bt, xy = _peak_bt(strains_at_qps(FEField(space, lift), start.B), p, space)
+        lift_bt, xy = _peak_bt(strains_at_qps(FEField(space, lift), setup.B), p, space)
         if lift_bt >= 1.0 - DELTA_GUARD:
             raise InadmissibleStrain(
                 lift_bt / p.b, location=f"(x, y) = {xy}: the b = 0 start has b t above "
@@ -401,11 +397,11 @@ def _scaled_start(start: _Start, p: MaterialParams) -> tuple[FEField, float, np.
                 "displacements, zero at every free dof) violates the strain limit; "
                 "lower mechanical_bc.top_uy, thermal_bc.Q or material.b")
     u, s = u0, 1.0
-    energy = _energy(u0, p, eps, start.f)
+    energy = _energy(u0, p, eps, setup.f)
     for _ in range(20):
         half = FEField(space, lift + 0.5 * s * (u0.values - lift))
-        half_eps = strains_at_qps(half, start.B)
-        half_energy = _energy(half, p, half_eps, start.f)
+        half_eps = strains_at_qps(half, setup.B)
+        half_energy = _energy(half, p, half_eps, setup.f)
         if bt <= 0.9 and not half_energy < energy:
             break
         u, s, energy, eps = half, 0.5 * s, half_energy, half_eps
@@ -436,14 +432,14 @@ def _forcing(eta: float, r_norm: float, r_prev: float | None) -> float:
 
 def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
                  bc: MechanicalBC, cfg: PicardConfig = PicardConfig(),
-                 start: _Start | None = None) -> tuple[FEField, SolveReport]:
+                 start: _Setup | None = None) -> tuple[FEField, SolveReport]:
     """Newton's method on the potential energy Pi(u) = sum W(eps(u)) detJ w - f.u.
 
     Starts from the b=0 linear solve, scaled toward the Dirichlet lift by Pi
     and the strain limit (see _scaled_start; InadmissibleStrain if the b = 0
-    solution and the lift both violate the limit). A given start, built by
-    _linear_start for the same space, theta and bc with any a and b, is used
-    through a fresh() copy instead of building one. Each step solves the
+    solution and the lift both violate the limit). A given start, a set-up
+    built by _loaded_setup for the same space, theta and bc with any a and
+    b, is used through a fresh() copy instead of building one. Each step solves the
     consistent-tangent system, CG preconditioned by the b=0 factor and
     started from the iterate, only as far as an inexact Newton step needs
     (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): to a
@@ -454,39 +450,40 @@ def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
     iterate is admissible and nothing is clamped. report.residuals holds, at
     each iterate, the relative residual ||f - F_int(u)|| over the free dofs
     divided by ||F_int(u)|| over all dofs, reactions included (by load if
-    F_int is zero). The increment is the L2 norm (consistent mass matrix) of
-    the full Newton direction, and the solve has converged when it is below
-    cfg.tol and the residual at most _FORCE_TOL. If no step of at least
+    F_int is zero). The increment is the L2 norm of the full Newton
+    direction at the quadrature points (l2_norm), and the solve has converged
+    when it is below cfg.tol and the residual at most _FORCE_TOL. If no step of at least
     2^-20 cfg.damping passes, the last iterate is returned unconverged.
     Non-convergence is reported, not raised, unless the last iterate lies
     within 2 DELTA_GUARD of the strain limit: then the load has no solution
     the guarded law can carry, and InadmissibleStrain names where.
     """
-    start = _linear_start(space, p, theta, bc) if start is None else start.fresh()
-    report = start.report
-    u, energy, eps = _scaled_start(start, p)
+    setup = (_loaded_setup(space, p, theta, _b0_system(space, p, bc)) if start is None
+             else start.fresh())
+    report = setup.report
+    u, energy, eps = _scaled_start(setup, p)
     eta, r_prev = 0.0, None
     for _ in range(cfg.max_iter):
         sys = None   # freed before the next assembly, while the held LU is alive
-        sys, clamps = assemble_mechanical(space, p, theta, u, bc, B=start.B,
-                                          plan=start.plan, f=start.f, tangent=True,
+        sys, clamps = assemble_mechanical(space, p, theta, u, bc, B=setup.B,
+                                          plan=setup.plan, f=setup.f, tangent=True,
                                           eps_prev=eps)
         report.clamp_events += clamps
         r_norm = np.linalg.norm(sys.rhs - sys.matrix @ u.values)
         force = float(np.linalg.norm(sys.internal_force))
-        report.residuals.append(float(r_norm) / (force or start.load))
+        report.residuals.append(float(r_norm) / (force or setup.load))
         eta, r_prev = _forcing(eta, r_norm, r_prev), r_norm
         tol = max(_RESIDUAL_TOL, eta * r_norm / (np.linalg.norm(sys.rhs) or 1.0))
-        d = linear_solve(sys, report, x0=u.values, precond=start.precond,
+        d = linear_solve(sys, report, x0=u.values, precond=setup.precond,
                          tol=tol) - u.values
-        inc = l2_norm(space, d, M=start.M)
+        inc = l2_norm(space, d)
         report.increments.append(inc)
         report.iterations += 1
         step = cfg.damping
         while step >= cfg.damping * _MIN_STEP:
             trial = FEField(space, u.values + step * d)
-            trial_eps = strains_at_qps(trial, start.B)
-            trial_energy = _energy(trial, p, trial_eps, start.f)
+            trial_eps = strains_at_qps(trial, setup.B)
+            trial_energy = _energy(trial, p, trial_eps, setup.f)
             if trial_energy <= energy + 10.0 * _EPS * abs(energy):
                 u, energy, eps = trial, trial_energy, trial_eps
                 break

@@ -329,6 +329,19 @@ class TestMassMatrixAndNorms:
         vals = interpolate_vec(space, lambda x, y: 3.0, lambda x, y: 4.0)
         assert l2_norm(space, vals) == pytest.approx(5.0, rel=1e-12)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_l2_norm_matches_mass_matrix(self, order, components):
+        # sqrt(sum_c c^T M c) with the consistent mass matrix of the same rule
+        space = FESpace(build_cracked_grid(8, 8), order=order, components=components)
+        M = mass_matrix(space)
+        rng = np.random.default_rng(10 * order + components)
+        for _ in range(3):
+            vals = rng.normal(size=space.n_dofs)
+            cols = vals.reshape(space.n_scalar_dofs, components).T
+            want = math.sqrt(sum(c @ (M @ c) for c in cols))
+            assert l2_norm(space, vals) == pytest.approx(want, rel=1e-14)
+
 
 def coo_matrix_oracle(space, k_local, block):
     """Global matrix by COO-to-CSR conversion, the construction AssemblyPlan replaced."""

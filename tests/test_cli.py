@@ -50,6 +50,12 @@ class TestSolveCommand:
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "mesh-dump"])
+    def test_cracked_mesh_below_2_exits_error(self, command, capsys):
+        code = main([command, "--mesh.nx", "1"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: line 0: key 'mesh.nx'")
+
     def test_not_converged_exit_code(self, capsys):
         code = main(["solve", "--mesh.nx", "4", "--mesh.ny", "4",
                      "--thermal_bc.Q", "100", "--picard.max_iter", "2"])
@@ -132,6 +138,13 @@ class TestReproductionSuite:
             n_lines = len(csv.read_text().splitlines())
             assert n_lines == len(entry["rows"]) + 1
             assert all(r.converged for r in entry["rows"])
+
+    @pytest.mark.parametrize("flag", ["--nx", "--ny"])
+    def test_grid_below_2_is_a_usage_error(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--out", str(tmp_path), flag, "1"])
+        assert exc.value.code == 2
+        assert "at least 2" in capsys.readouterr().err
 
     def test_one_set_up_per_scenario(self, tmp_path, fespace_builds, capsys):
         # the b- and a-sweep of each of the 4 scenarios share one mesh and its 2 spaces

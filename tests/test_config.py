@@ -83,6 +83,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("text,key", [
         ("mesh.nx = 0\n", "mesh.nx"),
+        ("mesh.nx = 1\n", "mesh.nx"),
+        ("mesh.ny = 1\n", "mesh.ny"),
+        ("mesh.crack = false\nmesh.ny = 0\n", "mesh.ny"),
         ("element_order = 3\n", "element_order"),
         ("thermal_bc.kind = cubic\n", "thermal_bc.kind"),
         ("material.mu = -2\n", "material.mu"),
@@ -94,6 +97,11 @@ class TestErrors:
         with pytest.raises(InvariantViolation) as exc:
             parse_config(text)
         assert key in str(exc.value)
+        assert exc.value.line == text.count("\n")   # the offending key is on the last line
+
+    def test_uncracked_mesh_may_be_one_element_wide(self):
+        cfg = parse_config("mesh.crack = false\nmesh.nx = 1\n")
+        assert cfg.crack is None and cfg.nx == 1
 
     def test_indefinite_stiffness_rejected(self):
         with pytest.raises(InvariantViolation):
