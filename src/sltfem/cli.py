@@ -1,6 +1,8 @@
 """Command-line entry point: solve, sweep, reproduce, mesh-dump.
 
-Exit status: 0 success, 2 the nonlinear iteration did not converge, 1 any other error.
+Exit status: 0 success; 2 the nonlinear iteration did not converge, or a usage
+error reported by the argument parser (an unknown command or option, or a sweep
+with no parameter or no values); 1 any other error.
 """
 
 from __future__ import annotations

@@ -7,10 +7,12 @@ default; command-line `--key value` flags override file values.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import solver
 from .assembly import FESpace, MechanicalBC, ThermalBC
@@ -141,10 +143,14 @@ def _validate(cfg: RunConfig, lines: dict[str, int] | None = None) -> RunConfig:
         bad("thermal_bc.kind", f"{cfg.thermal_kind!r} must be constant or parabolic")
     if cfg.sweep_parameter not in (None, "a", "b"):
         bad("sweep.parameter", f"{cfg.sweep_parameter!r} must be a or b")
+
+    def law_checks(c: RunConfig):   # the range of the strain-limiting law's a and b
+        return [("material.a", c.a > 0, f"a={c.a} must be positive"),
+                ("material.b", c.b >= 0, f"b={c.b} must be nonnegative")]
+
     checks = [
         ("material.mu", cfg.mu > 0, f"mu={cfg.mu} must be positive"),
-        ("material.a", cfg.a > 0, f"a={cfg.a} must be positive"),
-        ("material.b", cfg.b >= 0, f"b={cfg.b} must be nonnegative"),
+        *law_checks(cfg),
         ("material.alpha_T", cfg.alpha_T >= 0, f"alpha_T={cfg.alpha_T} must be nonnegative"),
         ("material.k", cfg.k > 0, f"k={cfg.k} must be positive"),
         ("picard.tol", cfg.tol > 0, f"tol={cfg.tol} must be positive"),
@@ -154,6 +160,10 @@ def _validate(cfg: RunConfig, lines: dict[str, int] | None = None) -> RunConfig:
     for key, ok, msg in checks:
         if not ok:
             bad(key, msg)
+    for v in cfg.sweep_values if cfg.sweep_parameter else ():
+        for _, ok, msg in law_checks(replace(cfg, **{cfg.sweep_parameter: v})):
+            if not ok:
+                bad("sweep.values", msg)
     try:
         cfg.material()   # SPD check of the stiffness
     except Exception as exc:
@@ -251,9 +261,18 @@ class RunResult:
     fields: dict
 
 
-# The set-up of the last solve, keyed by its RunConfig with a and b
-# neutralised, while a shared_setup() block is open in this context.
-_shared: ContextVar[dict[RunConfig, solver._Setup] | None] = ContextVar("_shared", default=None)
+@dataclass
+class _Block:
+    """An open shared_setup() block: the set-up of its last solve, keyed by
+    its RunConfig with a and b neutralised; the solves solve_ahead started
+    and run_single has not taken yet, per config; the worker threads."""
+
+    setups: dict[RunConfig, solver._Setup] = field(default_factory=dict)
+    started: dict[RunConfig, deque[Future]] = field(default_factory=dict)
+    pool: ThreadPoolExecutor | None = None
+
+
+_block: ContextVar[_Block | None] = ContextVar("_block", default=None)
 
 
 @contextmanager
@@ -261,15 +280,56 @@ def shared_setup():
     """Within this block, run_single builds its set-up (mesh, spaces, thermal
     solve, b = 0 start and factor) once and reuses it for each following
     config that differs only in a and b. One entry is kept and dropped on
-    exit; a nested block joins the open one."""
-    if _shared.get() is not None:
+    exit; a nested block joins the open one. The worker threads of
+    solve_ahead are shut down when the outermost block exits."""
+    if _block.get() is not None:
         yield
         return
-    token = _shared.set({})
+    block = _Block()
+    token = _block.set(block)
     try:
         yield
     finally:
-        _shared.reset(token)
+        _block.reset(token)
+        if block.pool is not None:
+            block.pool.shutdown(cancel_futures=True)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def solve_ahead(cfgs: list[RunConfig]):
+    """Within a shared_setup() block, opened here if none is, start the solve
+    of each of cfgs on the block's worker threads, one per usable core and
+    no more than len(cfgs), from the set-up built on this thread. The
+    workers share that set-up read-only, each solve with its own fresh()
+    factor holder; SuperLU may run on two of them at once, as scipy's
+    SuperLU releases the GIL and keeps its error state per thread. A
+    run_single of an equal config then takes one started solve, in order:
+    it returns its result or raises its exception. On exit, the solves not
+    taken are cancelled or waited for, and dropped."""
+    with shared_setup():
+        block = _block.get()
+        if block.pool is None:
+            block.pool = ThreadPoolExecutor(min(_usable_cores(), len(cfgs)),
+                                            thread_name_prefix="sltfem-solve")
+        futures = []
+        try:
+            for cfg in cfgs:
+                futures.append(block.pool.submit(_solve, cfg, _setup(cfg)))
+                block.started.setdefault(cfg, deque()).append(futures[-1])
+            yield
+        finally:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            for cfg in cfgs:
+                block.started.pop(cfg, None)
 
 
 def _thermal_branch(cfg: RunConfig, mesh: CrackedMesh, p: MaterialParams) -> FEField:
@@ -299,10 +359,10 @@ def _build_setup(cfg: RunConfig) -> solver._Setup:
 
 
 def _setup(cfg: RunConfig) -> solver._Setup:
-    shared = _shared.get()
-    if shared is None:
+    block = _block.get()
+    if block is None:
         return _build_setup(cfg)
-    key = replace(cfg, a=0.0, b=0.0)
+    shared, key = block.setups, replace(cfg, a=0.0, b=0.0)
     if key not in shared:
         shared.clear()
         shared[key] = _build_setup(cfg)
@@ -311,10 +371,20 @@ def _setup(cfg: RunConfig) -> solver._Setup:
 
 def run_single(cfg: RunConfig) -> RunResult:
     """Thermal solve, Newton mechanical solve, field recovery; the set-up is
-    shared within a shared_setup() block, and dropped on return outside one."""
+    shared within a shared_setup() block, and dropped on return outside one.
+    Within a block, a solve of an equal config started by solve_ahead is
+    taken instead of solving again."""
+    block = _block.get()
+    started = block.started.get(cfg) if block is not None else None
+    if started:
+        return started.popleft().result()
+    return _solve(cfg, _setup(cfg))
+
+
+def _solve(cfg: RunConfig, setup: solver._Setup) -> RunResult:
+    """Newton mechanical solve of cfg from its set-up, and field recovery."""
     from .postprocess import recover_fields
 
-    setup = _setup(cfg)
     p = cfg.material()
     space = setup.u.space
     u, report = newton_solve(space, p, setup.theta, cfg.mechanical_bc(), cfg.picard(),

@@ -136,25 +136,30 @@ def crack_opening_profile(u: FEField, mesh: CrackedMesh) -> list[tuple[float, fl
 def run_sweep(base_config, parameter: str, values) -> list["SweepRow"]:
     """One full solve per parameter value on the identical mesh.
 
-    Each value is solved by config.run_single, looked up per call, inside a
-    config.shared_setup() block: the one set-up (mesh, spaces, theta, b = 0
-    start and factor) is built once for the sweep.
+    config.solve_ahead builds the one set-up (mesh, spaces, theta, b = 0
+    start and factor) on this thread, inside a config.shared_setup() block,
+    and starts every value's solve from it on up to one worker thread per
+    core. Each value's result is then taken by config.run_single, looked up
+    per call, once per value in value order on this thread; a value's
+    exception is raised at its turn. Returns or raises only once every
+    started solve has finished or been cancelled.
     """
     from . import config  # deferred: config imports postprocess
 
     if parameter not in ("a", "b"):
         raise ValueError("sweep parameter must be 'a' or 'b'")
-    values = list(values)
+    values = [float(v) for v in values]
     if not values:
         raise ValueError("sweep needs at least one value")
+    cfgs = [replace(base_config, **{parameter: v}) for v in values]
     rows = []
-    with config.shared_setup():
-        for v in values:
-            result = config.run_single(replace(base_config, **{parameter: float(v)}))
+    with config.solve_ahead(cfgs):
+        for v, cfg in zip(values, cfgs):
+            result = config.run_single(cfg)
             fields = result.fields
             rows.append(SweepRow(
                 parameter=parameter,
-                value=float(v),
+                value=v,
                 max_stress_norm=float(fields["stress_norm"].values.max()),
                 max_strain_norm=float(fields["strain_norm"].values.max()),
                 max_principal_stress=float(fields["principal_stress_max"].values.max()),

@@ -110,6 +110,15 @@ class TestSweepCommand:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("param,values", [("b", "0,-0.1"), ("a", "0.5,0")])
+    def test_value_outside_the_law_exits_error(self, param, values, tmp_path, capsys):
+        code = main(["sweep", "--param", param, "--values", values,
+                     "--out", str(tmp_path / "sweep.csv")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 0: key 'sweep.values'")
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("argv", [["--param", "b"], ["--values", "0.1"],
                                       ["--param", "b", "--values", ""]])
     def test_missing_parameter_or_values_is_a_usage_error(self, argv, capsys):

@@ -92,6 +92,8 @@ class TestErrors:
         ("picard.tol = 0\n", "picard.tol"),
         ("picard.damping = 2\n", "picard.damping"),
         ("sweep.parameter = k\n", "sweep.parameter"),
+        ("sweep.parameter = b\nsweep.values = 0, -0.1\n", "sweep.values"),
+        ("sweep.parameter = a\nsweep.values = 0.5, 0\n", "sweep.values"),
     ])
     def test_invariants_name_offending_key(self, text, key):
         with pytest.raises(InvariantViolation) as exc:

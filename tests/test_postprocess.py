@@ -1,3 +1,4 @@
+import itertools
 import threading
 import time
 from dataclasses import replace
@@ -165,6 +166,25 @@ def recording_run_single(monkeypatch):
     return results
 
 
+def recording_solves(monkeypatch):
+    """Wrap sltfem.config._solve, which solves a config from its set-up;
+    returns the list of (config, thread, start, end) of each solve, an end
+    of None while it runs."""
+    solves = []
+    solve = sltfem.config._solve
+
+    def timed(cfg, setup):
+        entry = [cfg, threading.get_ident(), time.perf_counter(), None]
+        solves.append(entry)
+        try:
+            return solve(cfg, setup)
+        finally:
+            entry[3] = time.perf_counter()
+
+    monkeypatch.setattr(sltfem.config, "_solve", timed)
+    return solves
+
+
 class TestSharedSetUp:
     """A sweep builds its mesh, spaces, thermal solve and b = 0 start once."""
 
@@ -179,8 +199,19 @@ class TestSharedSetUp:
                                              parameter, values):
         monkeypatch.setattr(sltfem.solver, "_CG_BUDGET", self.CG_BUDGET)
         results = recording_run_single(monkeypatch)
+        solves = recording_solves(monkeypatch)
         run_sweep(self.CFG, parameter, values)
         assert len(results) == len(values) and len(fespace_builds) == 2
+        # the values ran at once on worker threads, one per core and no more
+        # than one per value
+        threads = {thread for _, thread, _, _ in solves}
+        workers = min(sltfem.config._usable_cores(), len(values))
+        assert len(solves) == len(values) and threading.get_ident() not in threads
+        assert min(workers, 2) <= len(threads) <= workers
+        if workers > 1:   # two solves on two threads overlap
+            assert any(t1 != t2 and start2 < end1 and start1 < end2
+                       for (_, t1, start1, end1), (_, t2, start2, end2)
+                       in itertools.combinations(solves, 2))
         monkeypatch.undo()
         monkeypatch.setattr(sltfem.solver, "_CG_BUDGET", self.CG_BUDGET)
         for value, got in zip(values, results):
@@ -207,10 +238,72 @@ class TestSharedSetUp:
         assert len(fespace_builds) == 4
 
     def test_wrapper_called_once_per_value(self, monkeypatch):
+        calls = []   # (config, thread) of each call of the wrapper
         results = recording_run_single(monkeypatch)
+        solve = sltfem.config.run_single
+
+        def keep(cfg):
+            calls.append((cfg, threading.get_ident()))
+            return solve(cfg)
+
+        monkeypatch.setattr(sltfem.config, "run_single", keep)
         rows = run_sweep(self.CFG, "b", (0.0, 0.01, 0.02))
-        assert [r.config.b for r in results] == [0.0, 0.01, 0.02]
+        assert calls == [(replace(self.CFG, b=b), threading.get_ident())
+                         for b in (0.0, 0.01, 0.02)]
+        assert [r.config for r in results] == [cfg for cfg, _ in calls]
         assert [r.iterations for r in rows] == [r.report.iterations for r in results]
+        assert [r.max_strain_norm for r in rows] == [
+            float(r.fields["strain_norm"].values.max()) for r in results]
+
+    def test_failed_value_raises_at_its_turn(self, monkeypatch):
+        error = InadmissibleStrain(2.0, location="b = 0.01")
+        newton = sltfem.config.newton_solve
+
+        def failing(space, p, *args, **kwargs):
+            if p.b == 0.01:
+                raise error
+            time.sleep(0.05)   # the solves after the failed one are still running
+            return newton(space, p, *args, **kwargs)
+
+        monkeypatch.setattr(sltfem.config, "newton_solve", failing)
+        results = recording_run_single(monkeypatch)
+        solves = recording_solves(monkeypatch)
+        threads = threading.active_count()
+        run_sweep(self.CFG, "b", (0.0, 0.02))
+        assert threading.active_count() == threads
+        with pytest.raises(InadmissibleStrain) as raised:
+            run_sweep(self.CFG, "b", (0.0, 0.01, 0.02, 0.03))
+        assert raised.value is error
+        assert [r.config.b for r in results] == [0.0, 0.02, 0.0]
+        assert all(end is not None for *_, end in solves)   # none left running
+        assert threading.active_count() == threads
+
+    def test_repeated_value_is_solved_per_call(self, monkeypatch):
+        results = recording_run_single(monkeypatch)
+        solves = recording_solves(monkeypatch)
+        rows = run_sweep(self.CFG, "b", (0.01, 0.01))
+        assert len(solves) == 2 and results[0] is not results[1]
+        assert rows[0] == rows[1]
+        np.testing.assert_array_equal(results[0].u.values, results[1].u.values)
+
+    def test_wrapper_that_changes_the_config_gets_its_own_solve(self, monkeypatch):
+        results = []
+        solve = sltfem.config.run_single
+
+        def shifted(cfg):
+            results.append(solve(replace(cfg, b=cfg.b + 0.005)))
+            return results[-1]
+
+        monkeypatch.setattr(sltfem.config, "run_single", shifted)
+        threads = threading.active_count()
+        run_sweep(self.CFG, "b", (0.0, 0.01))
+        assert threading.active_count() == threads
+        monkeypatch.undo()
+        assert [r.config.b for r in results] == [0.005, 0.015]
+        for got in results:
+            want = run_single(got.config)
+            np.testing.assert_array_equal(got.u.values, want.u.values)
+            assert got.report == want.report
 
 
 class TestThreadedSetUp:

@@ -124,9 +124,9 @@ class TestLinearSolve:
         assert np.linalg.norm(sys.matrix @ x2 - sys.rhs) <= 1e-12 * np.linalg.norm(sys.rhs)
 
     @staticmethod
-    def _plate_systems():
+    def _plate_systems(**paramkw):
         """The b = 0 system of the 8x8 cracked plate and the Newton system at its solution."""
-        space, p, theta = cracked_setup(8)
+        space, p, theta = cracked_setup(8, **paramkw)
         bc = MechanicalBC()
         sys0, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc)
         u0 = FEField(space, linear_solve(sys0))
@@ -251,6 +251,22 @@ class TestLinearSolve:
         assert precond.lu.dtype is np.float64
         assert report.factorizations == (1 if failure == "splu raises" else 2)
         self._assert_checked(sys0, x, report)
+
+    def test_early_give_up_judges_by_the_target(self):
+        # The b = 0 factor preconditions the a = 0.1 tangent slowly: CG reaches
+        # 1e-2 in about 20 steps, and its rate would need far more than the
+        # budget to reach 1e-12.
+        sys0, sys1, _ = self._plate_systems(a=0.1)
+        lu = sltfem.solver._factor(sys0.matrix.tocsr(), np.float64)
+        report = SolveReport()
+        x = linear_solve(sys1, report, precond=Preconditioner(lu), tol=1e-2)
+        A = sys1.matrix.tocsr()
+        assert report.factorizations == 0 and report.refine_steps[0] > 10
+        assert sltfem.solver._Residual(A, sys1.rhs)(x)[1] == report.linear_solve_stats[0]
+        assert report.linear_solve_stats[0] <= 1e-2
+        x, _, iterations = sltfem.solver._preconditioned_cg(
+            A, None, lu, sltfem.solver._Residual(A, sys1.rhs), 1e-12)
+        assert x is None and iterations < sltfem.solver._CG_BUDGET
 
     def test_cg_gives_up_before_the_budget(self):
         space, p, theta = cracked_setup(8)
