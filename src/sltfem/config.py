@@ -14,8 +14,10 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import solver
-from .assembly import FESpace, MechanicalBC, ThermalBC
+from .assembly import FESpace, MechanicalBC, ThermalBC, thermal_load
 from .constitutive import MaterialParams
 from .errors import InvariantViolation, TypeMismatch, UnknownKey
 from .mesh import CrackedMesh, CrackSpec, build_cracked_grid, build_grid
@@ -167,7 +169,9 @@ def _validate(cfg: RunConfig, lines: dict[str, int] | None = None) -> RunConfig:
     try:
         cfg.material()   # SPD check of the stiffness
     except Exception as exc:
-        bad("material.gamma", str(exc))
+        # 2 mu I + lam 1 (x) 1 has the eigenvalue 2 (mu + lam): with lam <= -mu
+        # the isotropic part alone is indefinite, else the fiber term is to blame
+        bad("material.lambda" if cfg.lam <= -cfg.mu else "material.gamma", str(exc))
     return cfg
 
 
@@ -332,30 +336,33 @@ def solve_ahead(cfgs: list[RunConfig]):
                 block.started.pop(cfg, None)
 
 
-def _thermal_branch(cfg: RunConfig, mesh: CrackedMesh, p: MaterialParams) -> FEField:
-    """The scalar space and the thermal solve on it."""
-    space = FESpace(mesh, order=cfg.element_order, components=1)
-    return solve_thermal(space, p, Q_source=cfg.Q, bc=cfg.thermal_bc())
+def _thermal_branch(cfg: RunConfig, u_space: FESpace, p: MaterialParams
+                    ) -> tuple[FEField, np.ndarray]:
+    """The scalar space, the thermal solve on it, and the thermal load on u_space."""
+    space = FESpace(u_space.mesh, order=cfg.element_order, components=1)
+    theta = solve_thermal(space, p, Q_source=cfg.Q, bc=cfg.thermal_bc())
+    return theta, thermal_load(u_space, p, theta)
 
 
 def _build_setup(cfg: RunConfig) -> solver._Setup:
-    """The set-up of cfg. _thermal_branch runs on a second thread while this
-    one builds the vector space and the part of the set-up that needs no
-    theta; the b = 0 system gets its thermal load and is factored after the
-    join, so SuperLU never runs on both threads at once. A thermal error is
-    raised first, as if the two ran in sequence."""
-    mesh = cfg.build_mesh()
+    """The set-up of cfg. After the vector space is built, _thermal_branch
+    runs on a second thread while this one builds the b = 0 system and
+    factors it in float32, as theta enters it only through the load; so
+    SuperLU may run on both threads at once. After the join the system gets
+    the thermal load and is solved on that factor, or factored in float64
+    if it failed. A thermal error is raised first, as if the two ran in
+    sequence; no thread outlives the set-up."""
     p = cfg.material()
+    u_space = FESpace(cfg.build_mesh(), order=cfg.element_order, components=2)
     with ThreadPoolExecutor(1) as pool:
-        thermal = pool.submit(_thermal_branch, cfg, mesh, p)
+        thermal = pool.submit(_thermal_branch, cfg, u_space, p)
         try:
-            u_space = FESpace(mesh, order=cfg.element_order, components=2)
             b0 = _b0_system(u_space, p, cfg.mechanical_bc())
         except BaseException:
             thermal.result()
             raise
-        theta = thermal.result()
-    return _loaded_setup(u_space, p, theta, b0)
+        theta, f = thermal.result()
+    return _loaded_setup(u_space, p, theta, b0, f)
 
 
 def _setup(cfg: RunConfig) -> solver._Setup:

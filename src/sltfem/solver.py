@@ -32,6 +32,9 @@ from .tensors import energy_norm_m
 
 _RESIDUAL_TOL = 1e-12
 _EPS = np.finfo(np.float64).eps
+# Targets below this get a long-double residual; a double product only fails
+# a target near the cancellation floor, at most 4.1e-12 on the 64^2 plate.
+_LONG_DOUBLE_BELOW = 1e-9
 # Preconditioned CG iterations a held factor gets per linear solve before the
 # system is factored afresh; one factorization costs 15 to 25 of them.
 _CG_BUDGET = 30
@@ -72,8 +75,9 @@ class SolveReport:
     """Nonlinear iteration history: per iteration, the L2 increment and, for
     Newton, the nonlinear residual at its iterate relative to the internal
     force (residuals); per linear solve, the relative residual of its
-    solution (linear_solve_stats) and its triangular solves beyond one per
-    factorization (refine_steps: preconditioned CG iterations); the
+    solution (linear_solve_stats: taken in long double for a target below
+    1e-9, in float64 for a looser one) and its triangular solves beyond one
+    per factorization (refine_steps: preconditioned CG iterations); the
     number of SuperLU factorizations (factorizations)."""
 
     iterations: int = 0
@@ -90,7 +94,10 @@ class SolveReport:
 class Preconditioner:
     """The SuperLU factor that preconditions CG in linear_solve, held across
     the linear systems of a nonlinear solve: a _Factor, or any float64 factor
-    with a solve method, such as a SuperLU.
+    with a solve method, such as a SuperLU. With ahead set, lu is instead the
+    float32 factor of the next system, computed before that system was
+    complete (None if that factorization failed): linear_solve takes it as
+    its own float32 factorization.
 
     Build one per solve, like AssemblyPlan, to be freed with it. linear_solve
     holds each fresh factor here and drops the held one before it factors
@@ -100,6 +107,7 @@ class Preconditioner:
     """
 
     lu: object = None
+    ahead: bool = False
 
 
 @dataclass(frozen=True)
@@ -115,21 +123,28 @@ class _Factor:
 
 
 class _Residual:
-    """Relative residual of A x = b with an extended-precision product, which
-    each CG pass restarts from, and the cancellation floor under it. x None
-    stands for zero, where the residual is b and the floor 0, exactly."""
+    """Relative residual of A x = b, which each CG pass restarts from, and the
+    cancellation floor under it. For a target tol below _LONG_DOUBLE_BELOW
+    the product is taken in extended precision, and for a looser one in
+    float64, with no long-double copy of A (Carson & Higham, SIAM J. Sci.
+    Comput. 40, 2018). x None stands for zero, where the residual is b and
+    the floor 0, exactly."""
 
-    def __init__(self, A: sp.csr_matrix, b: np.ndarray):
+    def __init__(self, A: sp.csr_matrix, b: np.ndarray, tol: float = _RESIDUAL_TOL):
         self.A = A
         bnorm = np.linalg.norm(b)
         self.scale = bnorm if bnorm > 0 else 1.0
         self.b = b
+        self.extended = tol < _LONG_DOUBLE_BELOW
         # built at the first residual and floor of an x, after any factorization
         self._Aw = self._absA = None
 
     def __call__(self, x: np.ndarray | None) -> tuple[np.ndarray, float]:
         if x is None:
             return self.b.copy(), np.linalg.norm(self.b) / self.scale
+        if not self.extended:
+            r = self.b - self.A @ x
+            return r, np.linalg.norm(r) / self.scale
         if self._Aw is None:
             A = self.A
             self._Aw = sp.csr_matrix((A.data.astype(np.longdouble), A.indices, A.indptr),
@@ -172,7 +187,7 @@ def _preconditioned_cg(A: sp.csr_matrix, x: np.ndarray | None, lu,
     the true residual, to the contract for tol.
 
     A pass stops its recursive residual at max(0.1 tol, floor)·||b||; passes
-    go on while the long-double residual falls. With lu the factor of A and x
+    go on while the true residual falls. With lu the factor of A and x
     zero, the first step is the factored solve, and each later pass is a
     refinement step of optimal length. Returns x, its relative residual
     and the CG iterations, with x None if the contract is missed within
@@ -228,27 +243,35 @@ def linear_solve(sys: LinearSystem, report: SolveReport | None = None,
     """Sparse SPD solve with a relative-residual contract of tol (1e-12).
 
     The system is solved by conjugate gradients preconditioned by a SuperLU
-    factor, ordered by minimum degree on A + A^T, in passes restarted from an
-    extended-precision residual; the plain double residual can stall just
-    above the tolerance through cancellation. A factor only has to
-    precondition, so a fresh one is computed in float32: CG restarted from
-    the extended-precision residual recovers full accuracy (Carson & Higham,
-    SIAM J. Sci. Comput. 40, 2018; Langou et al., SC 2006). With a factor
-    held in precond, CG starts from x0 (default zero), and x0 is returned
-    unchanged if it already meets the contract. Without one, or if CG on the
-    held one misses within _CG_BUDGET iterations, the held factor is
-    dropped, the system is factored afresh and CG starts from zero; the
-    fresh factor is held in precond, if given. If the float32 factorization
-    fails, its triangular solve is not finite or its CG misses, the system
-    is factored again in float64. A returned x has a relative residual of at
-    most tol or 10x the cancellation floor; otherwise SolverBreakdown is
-    raised. A given report gets the residual of the returned x, the
-    triangular solves beyond one per factorization, and each factorization.
+    factor, ordered by minimum degree on A + A^T, in passes restarted from
+    the true residual. For a tol below 1e-9 (_LONG_DOUBLE_BELOW) that
+    residual is taken in extended precision, as the plain double residual
+    can stall just above such a tolerance through cancellation; a looser
+    tol, such as an early Newton system's, gets the float64 residual. A
+    factor only has to precondition, so a fresh one is computed in float32:
+    CG restarted from the true residual recovers full accuracy (Carson &
+    Higham, SIAM J. Sci. Comput. 40, 2018; Langou et al., SC 2006). With a
+    factor held in precond, CG starts from x0 (default zero), and x0 is
+    returned unchanged if it already meets the contract. Without one, or if
+    CG on the held one misses within _CG_BUDGET iterations, the held factor
+    is dropped, the system is factored afresh and CG starts from zero; the
+    fresh factor is held in precond, if given. A float32 factor of this
+    system computed ahead (Preconditioner.ahead) is taken as the fresh
+    float32 factorization. If the float32 factorization fails, its
+    triangular solve is not finite or its CG misses, the system is factored
+    again in float64. A returned x has a relative residual of at most tol or
+    10x the cancellation floor; otherwise SolverBreakdown is raised. A given
+    report gets the residual of the returned x, the triangular solves beyond
+    one per factorization, and each factorization, one computed ahead
+    included.
     """
     A = sys.matrix.tocsr()
-    residual = _Residual(A, sys.rhs)
+    residual = _Residual(A, sys.rhs, tol)
     x, steps = None, 0
-    if precond is not None and precond.lu is not None:
+    ahead = precond is not None and precond.ahead
+    if ahead:
+        precond.ahead = False
+    elif precond is not None and precond.lu is not None:
         x, res, steps = _preconditioned_cg(A, x0, precond.lu, residual, tol)
         if x is None:
             precond.lu = None
@@ -256,7 +279,12 @@ def linear_solve(sys: LinearSystem, report: SolveReport | None = None,
         for dtype in (np.float32, np.float64):
             lu = None   # a failed float32 LU is freed before the float64 splu
             try:
-                lu = _factor(A, dtype)   # the float32 splu precedes any floor() and its |A|
+                if ahead and dtype is np.float32:
+                    lu, precond.lu = precond.lu, None
+                    if lu is None:   # the factorization ahead failed
+                        continue
+                else:
+                    lu = _factor(A, dtype)   # the float32 splu precedes any floor() and its |A|
                 if report is not None:
                     report.factorizations += 1
                 x, res, iterations = _preconditioned_cg(A, None, lu, residual, tol)
@@ -312,26 +340,33 @@ class _Setup:
 
 
 def _b0_system(space: FESpace, p: MaterialParams, bc: MechanicalBC
-               ) -> tuple[np.ndarray, AssemblyPlan, LinearSystem]:
-    """The part of a set-up that needs no theta: B, the Dirichlet plan, and
-    the b = 0 system without its thermal load."""
+               ) -> tuple[np.ndarray, AssemblyPlan, LinearSystem, Preconditioner]:
+    """The part of a set-up that needs no theta: B, the Dirichlet plan, the
+    b = 0 system without its thermal load, and its float32 factor, computed
+    ahead of the load (theta enters the system only there)."""
     B = strain_displacement(space)
     plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
     p_lin = p if p.b == 0.0 else replace(p, b=0.0)
     sys, _ = assemble_mechanical(space, p_lin, None, FEField.zero(space), bc, B=B, plan=plan)
-    return B, plan, sys
+    try:
+        lu = _factor(sys.matrix.tocsr(), np.float32)
+    except SolverBreakdown:
+        lu = None   # linear_solve factors in float64 instead
+    return B, plan, sys, Preconditioner(lu, ahead=True)
 
 
 def _loaded_setup(space: FESpace, p: MaterialParams, theta: FEField | None,
-                  b0: tuple[np.ndarray, AssemblyPlan, LinearSystem]) -> _Setup:
+                  b0: tuple[np.ndarray, AssemblyPlan, LinearSystem, Preconditioner],
+                  f: np.ndarray | None = None) -> _Setup:
     """The set-up from theta and a _b0_system, whose system gets the thermal
-    load on its free dofs (the same sum as a system assembled with it) and
-    is solved."""
-    B, plan, sys = b0
-    f = thermal_load(space, p, theta)
+    load f (by default computed here from theta) on its free dofs (the same
+    sum as a system assembled with it) and is solved on its factor."""
+    B, plan, sys, precond = b0
+    if f is None:
+        f = thermal_load(space, p, theta)
     free = ~plan.fixed
     sys.rhs[free] += f[free]
-    report, precond = SolveReport(), Preconditioner()
+    report = SolveReport()
     u = FEField(space, linear_solve(sys, report, precond=precond))
     load = float(np.linalg.norm(sys.rhs[free]))
     return _Setup(theta, u, B, plan, f, load or 1.0, report, precond)

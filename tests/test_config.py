@@ -89,6 +89,10 @@ class TestErrors:
         ("element_order = 3\n", "element_order"),
         ("thermal_bc.kind = cubic\n", "thermal_bc.kind"),
         ("material.mu = -2\n", "material.mu"),
+        # lambda <= -mu: the isotropic part alone is indefinite
+        ("material.gamma = 0\nmaterial.lambda = -1.2\n", "material.lambda"),
+        ("material.lambda = -5\n", "material.lambda"),
+        ("material.gamma = -5\n", "material.gamma"),
         ("picard.tol = 0\n", "picard.tol"),
         ("picard.damping = 2\n", "picard.damping"),
         ("sweep.parameter = k\n", "sweep.parameter"),

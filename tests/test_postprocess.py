@@ -308,7 +308,9 @@ class TestSharedSetUp:
 
 class TestThreadedSetUp:
     """run_single solves the thermal problem on a second thread while the
-    b = 0 system is built, and joins it before the mechanical factorization."""
+    b = 0 system is built and factored in float32; after the join the system
+    gets its thermal load and is solved on that factor, or on a float64 one
+    if the float32 factorization failed."""
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_matches_the_sequential_solve(self, order):
@@ -325,30 +327,78 @@ class TestThreadedSetUp:
             np.testing.assert_array_equal(got.fields[name].values, fld.values)
         assert got.report == report
 
-    def test_superlu_calls_never_overlap(self, monkeypatch):
-        calls = []   # (thread, start, end) of each factorization and triangular solve
-        splu = spla.splu
+    @staticmethod
+    def _mechanical_splu(monkeypatch, cfg, float32_fails=False):
+        """Patch spla.splu to record the dtype of each factorization of cfg's
+        mechanical matrix in a list it returns, and to set the returned event
+        when it gets the first; the float32 one raises if float32_fails."""
+        n = FESpace(cfg.build_mesh(), order=cfg.element_order, components=2).n_dofs
+        splu, got, dtypes = spla.splu, threading.Event(), []
 
-        def timed(fn, *args, **kwargs):
-            start = time.perf_counter()
-            out = fn(*args, **kwargs)
-            time.sleep(0.02)   # widens each call, so an overlap cannot slip between
-            calls.append((threading.get_ident(), start, time.perf_counter()))
-            return out
+        def marking(A, **kwargs):
+            if A.shape[0] == n:
+                dtypes.append(A.dtype)
+                got.set()
+                if float32_fails and A.dtype == np.float32:
+                    raise RuntimeError("Factor is exactly singular")
+            return splu(A, **kwargs)
 
-        class Factor:
-            def __init__(self, lu):
-                self.lu = lu
+        monkeypatch.setattr(spla, "splu", marking)
+        return got, dtypes
 
-            def solve(self, rhs):
-                return timed(self.lu.solve, rhs)
+    def test_b0_factor_overlaps_the_thermal_solve(self, monkeypatch):
+        cfg = scenario_config("x", "constant", 8, 8)
+        want = run_single(cfg)
+        got_b0, dtypes = self._mechanical_splu(monkeypatch, cfg)
+        thermal, waited = sltfem.config.solve_thermal, []
 
-        monkeypatch.setattr(spla, "splu", lambda *a, **kw: Factor(timed(splu, *a, **kw)))
-        run_single(scenario_config("x", "constant", 16, 16))
-        assert len({thread for thread, _, _ in calls}) == 2   # thermal on the worker
-        calls.sort(key=lambda c: c[1])
-        for (t1, _, end), (t2, start, _) in zip(calls, calls[1:]):
-            assert t1 == t2 or end <= start
+        def waiting(*args, **kwargs):   # deadlocks, up to the timeout, if the
+            waited.append(got_b0.wait(10.0))   # b = 0 factor waits for the join
+            return thermal(*args, **kwargs)
+
+        monkeypatch.setattr(sltfem.config, "solve_thermal", waiting)
+        got = run_single(cfg)
+        assert waited == [True] and dtypes == [np.float32]
+        np.testing.assert_array_equal(got.theta.values, want.theta.values)
+        np.testing.assert_array_equal(got.u.values, want.u.values)
+        assert got.report == want.report
+
+    @pytest.mark.parametrize("thermal_fails", [False, True])
+    def test_failed_factor_ahead_falls_back_to_float64_after_the_join(
+            self, monkeypatch, thermal_fails):
+        cfg = scenario_config("x", "constant", 8, 8)
+        error = SolverBreakdown("sparse factorization failed: thermal")
+        got_b0, dtypes = self._mechanical_splu(monkeypatch, cfg, float32_fails=True)
+        mesh, p = cfg.build_mesh(), cfg.material()
+        u, report = newton_solve(FESpace(mesh, order=2, components=2), p,
+                                 solve_thermal(FESpace(mesh, order=2), p, Q_source=cfg.Q,
+                                               bc=cfg.thermal_bc()),
+                                 cfg.mechanical_bc(), cfg.picard())
+        assert dtypes == [np.float32, np.float64] and report.factorizations == 1
+        thermal, order = sltfem.config.solve_thermal, []
+
+        def waiting(*args, **kwargs):   # the thermal solve ends after the failure
+            assert got_b0.wait(10.0)
+            order.append(len(dtypes))
+            if thermal_fails:
+                raise error
+            return thermal(*args, **kwargs)
+
+        got_b0.clear()
+        dtypes.clear()
+        monkeypatch.setattr(sltfem.config, "solve_thermal", waiting)
+        threads = threading.active_count()
+        if thermal_fails:
+            with pytest.raises(SolverBreakdown) as raised:
+                run_single(cfg)
+            assert raised.value is error and dtypes == [np.float32]
+        else:
+            got = run_single(cfg)
+            np.testing.assert_array_equal(got.u.values, u.values)
+            assert got.report == report
+            # float32 before the join, float64 after it
+            assert order == [1] and dtypes == [np.float32, np.float64]
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("mechanical_fails", [None, "first", "second"])
     def test_thermal_error_is_raised_unchanged_and_first(self, monkeypatch,
