@@ -1,10 +1,10 @@
-"""Q1/Q2 finite element spaces on quads and system assembly.
+"""Q1/Q2 finite element spaces on rectangle meshes and system assembly.
 
-Geometry is bilinear (the four mesh corners); Q2 fields add edge-midpoint
-and cell-center degrees of freedom on top of the mesh nodes. Crack-face
-edges split automatically because the seam duplicates their corner nodes,
-which changes the edge keys. Dirichlet conditions are imposed by symmetric
-elimination so the reduced matrix stays SPD.
+Geometry is the reference square scaled by each element's size; Q2 fields
+add edge-midpoint and cell-center degrees of freedom on top of the mesh
+nodes. Crack-face edges split automatically because the seam duplicates
+their corner nodes, which changes the edge keys. Dirichlet conditions are
+imposed by symmetric elimination so the reduced matrix stays SPD.
 """
 
 from __future__ import annotations
@@ -76,7 +76,12 @@ def gauss_points(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class FESpace:
-    """Scalar or 2-vector Lagrange space of order 1 or 2 on a quad mesh."""
+    """Scalar or 2-vector Lagrange space of order 1 or 2 on a rectangle mesh.
+
+    Elements must be axis-aligned rectangles listed counter-clockwise from
+    the lower-left corner (ValueError otherwise), as mesh.py builds them.
+    Each element's size h = (h_x, h_y) is then its whole geometry: d/dx =
+    (2/h_x) d/dxi, d/dy = (2/h_y) d/deta and detJ = h_x h_y / 4."""
 
     mesh: CrackedMesh
     order: int = 2
@@ -91,7 +96,9 @@ class FESpace:
     qp_ref: np.ndarray = field(init=False, repr=False)
     qp_w: np.ndarray = field(init=False, repr=False)
     N: np.ndarray = field(init=False, repr=False)              # (nqp, nloc)
-    dNdx: np.ndarray = field(init=False, repr=False)           # (ne, nqp, nloc, 2)
+    dN: np.ndarray = field(init=False, repr=False)             # (nqp, nloc, 2) reference
+    grad_table: np.ndarray = field(init=False, repr=False)     # (comp nloc, nqp comp 2)
+    h: np.ndarray = field(init=False, repr=False)              # (ne, 2) element sizes
     detJxW: np.ndarray = field(init=False, repr=False)         # (ne, nqp)
     qp_xy: np.ndarray = field(init=False, repr=False)          # (ne, nqp, 2)
 
@@ -102,6 +109,14 @@ class FESpace:
             raise ValueError("components must be 1 or 2")
         mesh = self.mesh
         nn = mesh.n_nodes
+        X = mesh.nodes[mesh.elements]                           # (ne, 4, 2)
+        self.h = X[:, 2] - X[:, 0]
+        # corners 1 and 3 must be (x2, y0) and (x0, y2)
+        off = abs(X[:, [1, 1, 3, 3], [0, 1, 0, 1]] - X[:, [2, 0, 0, 2], [0, 1, 0, 1]]).max(axis=1)
+        bad = np.flatnonzero((self.h.min(axis=1) <= 0) | (off > 1e-12 * self.h.max(axis=1)))
+        if bad.size:
+            raise ValueError(f"element {bad[0]} is not an axis-aligned rectangle listed "
+                             "counter-clockwise from its lower-left corner")
         if self.order == 1:
             self.element_dofs = mesh.elements.copy()
             self.dof_coords = mesh.nodes.copy()
@@ -123,23 +138,12 @@ class FESpace:
 
         nq1 = self.n_quad if self.n_quad is not None else self.order + 1
         self.qp_ref, self.qp_w = gauss_points(nq1)
-        self.N, dN = shape_functions(self.order, self.qp_ref)
-        Ngeo, dNgeo = shape_functions(1, self.qp_ref)
-        X = mesh.nodes[mesh.elements]                           # (ne, 4, 2)
-        # J[e,q,i,k] = d x_i / d xi_k
-        J = np.einsum("eai,qak->eqik", X, dNgeo)
-        detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-        if np.any(detJ <= 0):
-            raise ValueError("non-positive Jacobian determinant in mesh")
-        invJ = np.empty_like(J)
-        invJ[..., 0, 0] = J[..., 1, 1] / detJ
-        invJ[..., 1, 1] = J[..., 0, 0] / detJ
-        invJ[..., 0, 1] = -J[..., 0, 1] / detJ
-        invJ[..., 1, 0] = -J[..., 1, 0] / detJ
-        # dN/dx_i = dN/dxi_k * (J^-1)[k,i]
-        self.dNdx = dN @ invJ
-        self.detJxW = detJ * self.qp_w[None, :]
-        self.qp_xy = np.einsum("eai,qa->eqi", X, Ngeo)
+        self.N, self.dN = shape_functions(self.order, self.qp_ref)
+        # grad_table[(a, c), (q, c', i)] = delta_cc' dN[q, a, i]
+        self.grad_table = np.einsum("qai,cd->acqdi", self.dN, np.eye(self.components)
+                                    ).reshape(self.components * self.N.shape[1], -1)
+        self.detJxW = np.outer(0.25 * self.h[:, 0] * self.h[:, 1], self.qp_w)
+        self.qp_xy = X[:, None, 0] + 0.5 * (1.0 + self.qp_ref) * self.h[:, None]
 
     @property
     def n_scalar_dofs(self) -> int:
@@ -188,10 +192,8 @@ class FEField:
 
     def element_values(self) -> np.ndarray:
         """Per-element dof values: (ne, nloc) scalar or (ne, nloc, 2) vector."""
-        ed = self.space.element_dofs
-        if self.space.components == 1:
-            return self.values[ed]
-        return self.values[self.space.vector_dofs(ed)]
+        v = self.values.reshape(self.space.n_scalar_dofs, -1)[self.space.element_dofs]
+        return v[..., 0] if self.space.components == 1 else v
 
 
 @dataclass
@@ -315,14 +317,11 @@ class AssemblyPlan:
         data[self.unit_diagonal] = 1.0
         return sp.csr_matrix((data, *self.pattern), shape=(self.n, self.n))
 
-    def system(self, k_local: np.ndarray, f: np.ndarray,
-               x: np.ndarray | None = None) -> LinearSystem:
-        """The reduced system of per-element matrices k_local with the load
-        f + K (x - lift) on the free dofs (x None: zero) and the lift on the
-        fixed ones, K x summed element by element."""
-        d = -self.lift if x is None else x - self.lift
-        Kd = (k_local @ d[self.dofs][..., None])[..., 0]
-        rhs = f + np.bincount(self.dofs.ravel(), weights=Kd.ravel(), minlength=self.n)
+    def system(self, k_local: np.ndarray, f: np.ndarray) -> LinearSystem:
+        """The reduced system of per-element matrices k_local: the load f - K lift
+        on the free dofs, K lift summed element by element, and the lift on the fixed."""
+        Kd = (k_local @ self.lift[self.dofs][..., None])[..., 0]
+        rhs = f - np.bincount(self.dofs.ravel(), weights=Kd.ravel(), minlength=self.n)
         rhs[self.fixed] = self.lift[self.fixed]
         return LinearSystem(matrix=self.assemble(k_local), rhs=rhs)
 
@@ -345,51 +344,58 @@ def thermal_dirichlet(space: FESpace, bc: ThermalBC) -> dict[int, float]:
 
 def assemble_thermal(space: FESpace, p: MaterialParams, Q_source=0.0,
                      bc: ThermalBC = ThermalBC()) -> LinearSystem:
-    """Steady heat conduction: K_ij = int k grad(phi_i).grad(phi_j), f_i = int Q phi_i."""
+    """Steady heat conduction: K_ij = int k grad(phi_i).grad(phi_j), f_i = int Q phi_i.
+    An element's matrix is k (h_y/h_x K_xx + h_x/h_y K_yy), K_xx and K_yy
+    the reference products of the xi and eta derivatives."""
     if space.components != 1:
         raise ValueError("thermal problem needs a scalar space")
-    k_local = p.k * np.einsum("eqai,eqbi,eq->eab", space.dNdx, space.dNdx, space.detJxW,
-                              optimize=True)
-    if callable(Q_source):
-        Qq = np.vectorize(Q_source)(space.qp_xy[..., 0], space.qp_xy[..., 1])
-    else:
-        Qq = np.full((space.mesh.n_elements, space.nqp), float(Q_source))
-    f_local = np.einsum("eq,qa,eq->ea", Qq, space.N, space.detJxW)
+    K_xx, K_yy = np.einsum("qai,qbi,q->iab", space.dN, space.dN, space.qp_w)
+    ratio = (space.h[:, 1] / space.h[:, 0])[:, None, None]
+    k_local = p.k * (ratio * K_xx + K_yy / ratio)
+    # Equal elements round alike, and a row-sum error they share acts like a
+    # source growing as 1/h^2. So entries are rounded to 2^-50 times the power of
+    # two above the element's largest, where a row's sum is exact, and each row
+    # sum is taken off its diagonal: constants stay in the global kernel.
+    quantum = np.ldexp(1.0, np.frexp(abs(k_local).max(axis=(1, 2)))[1] - 50)[:, None, None]
+    k_local = np.round(k_local / quantum) * quantum
+    k_local[(slice(None), *np.diag_indices(k_local.shape[1]))] -= k_local.sum(axis=2)
+    Qq = (np.vectorize(Q_source)(space.qp_xy[..., 0], space.qp_xy[..., 1])
+          if callable(Q_source) else float(Q_source))
+    f_local = (Qq * space.detJxW) @ space.N
     f = np.bincount(space.element_dofs.ravel(), weights=f_local.ravel(),
                     minlength=space.n_scalar_dofs)
     return AssemblyPlan(space, 1, thermal_dirichlet(space, bc)).system(k_local, f)
 
 
+def _gradients(field: FEField) -> np.ndarray:
+    """Gradients of a field's components at all quadrature points, (ne, nqp,
+    components, 2): element values (ne, components nloc) times grad_table,
+    scaled by 2/h."""
+    space, ne = field.space, field.space.mesh.n_elements
+    g = field.element_values().reshape(ne, -1) @ space.grad_table
+    return g.reshape(ne, space.nqp, space.components, 2) * (2.0 / space.h)[:, None, None]
+
+
 def scalar_gradients(field: FEField) -> np.ndarray:
     """Gradient of a scalar field at all quadrature points, (ne, nqp, 2)."""
-    vals = field.element_values()
-    return np.einsum("ea,eqai->eqi", vals, field.space.dNdx)
+    return _gradients(field)[..., 0, :]
 
 
 # ---------------------------------------------------------------------------
 # Mechanical problem
 
-
-def strain_displacement(space: FESpace) -> np.ndarray:
-    """Mandel B-matrices: (ne, nqp, 3, 2*nloc) with eps_mandel = B @ u_local."""
-    ne, nqp, nloc, _ = space.dNdx.shape
-    B = np.zeros((ne, nqp, 3, 2 * nloc))
-    dN = space.dNdx
-    B[:, :, 0, 0::2] = dN[..., 0]
-    B[:, :, 1, 1::2] = dN[..., 1]
-    B[:, :, 2, 0::2] = dN[..., 1] / SQRT2
-    B[:, :, 2, 1::2] = dN[..., 0] / SQRT2
-    return B
+# Displacement gradient component k of (u_x,x, u_x,y, u_y,x, u_y,y) enters
+# Mandel strain _MANDEL[k] times _WEIGHT[k]. _K, _L: the 10 entries k <= l of
+# a symmetric 4x4 matrix on these components.
+_MANDEL = np.array([0, 2, 2, 1])
+_WEIGHT = np.array([1.0, 1.0 / SQRT2, 1.0 / SQRT2, 1.0])
+_K, _L = np.triu_indices(4)
 
 
-def strains_at_qps(u: FEField, B: np.ndarray | None = None) -> np.ndarray:
+def strains_at_qps(u: FEField) -> np.ndarray:
     """Mandel strain at every quadrature point, (ne, nqp, 3)."""
-    space = u.space
-    if B is None:
-        B = strain_displacement(space)
-    ne, nqp, _, m = B.shape
-    u_loc = u.element_values().reshape(ne, m, 1)
-    return (B.reshape(ne, -1, m) @ u_loc).reshape(ne, nqp, 3)
+    g = _gradients(u)
+    return np.stack([g[..., 0, 0], g[..., 1, 1], (g[..., 0, 1] + g[..., 1, 0]) / SQRT2], axis=-1)
 
 
 def mechanical_dirichlet(space: FESpace, bc: MechanicalBC) -> dict[int, float]:
@@ -419,29 +425,27 @@ def thermal_load(space: FESpace, p: MaterialParams, theta: FEField | None) -> np
 
 def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None,
                         u_prev: FEField, bc: MechanicalBC,
-                        B: np.ndarray | None = None,
                         plan: AssemblyPlan | None = None,
                         f: np.ndarray | None = None,
                         tangent: bool = False,
                         eps_prev: np.ndarray | None = None) -> tuple[LinearSystem, int]:
     """Elasticity linearized at u_prev, with the thermal-gradient body force.
 
-    By default the Picard system: the multiplier phi is evaluated from u_prev
-    at each quadrature point and frozen, and the load is f. With tangent=True,
-    the Newton system: the consistent tangent
+    By default the Picard system: phi from u_prev at each quadrature point,
+    frozen, and the load f. With tangent=True the Newton system: the tangent
     dsigma/deps = phi E + (phi'/t)(E eps)(E eps)^T and the load
-    f - F_int(u_prev) + K_T u_prev, with F_int = sum_q B^T sigma detJ w, so the
-    solution x gives the Newton direction x - u_prev, and the system carries
-    F_int as internal_force. Returns the reduced system and the number of
-    clamp events. A solve that assembles repeatedly passes B,
-    plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc)) and
-    f = thermal_load(space, p, theta), each built once, and may pass the
-    strains of u_prev, strains_at_qps(u_prev, B), as eps_prev.
+    f - F_int(u_prev) + K_T u_prev, so the solution x gives the Newton
+    direction x - u_prev; the system carries F_int as internal_force. Returns
+    the system and the number of clamp events. The element matrices are one
+    product of the per-point material matrices, on gradients scaled by 2/h,
+    with a fixed table of reference-gradient products (as in MILAMIN:
+    Dabrowski, Krotkiewski & Schmid, G^3 9, 2008). A solve that assembles
+    repeatedly passes plan = AssemblyPlan(space, 2, mechanical_dirichlet(space,
+    bc)) and f = thermal_load(space, p, theta), built once, and may pass
+    strains_at_qps(u_prev) as eps_prev.
     """
     if space.components != 2:
         raise ValueError("mechanical problem needs a 2-vector space")
-    if B is None:
-        B = strain_displacement(space)
     if plan is None:
         plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
     if f is None:
@@ -449,42 +453,49 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
 
     E = p.E.entries
     if eps_prev is None:
-        eps_prev = strains_at_qps(u_prev, B)
+        eps_prev = strains_at_qps(u_prev)
     t_prev = energy_norm_m(eps_prev, E)
     phi, clamps = relaxation_factor_m(t_prev, p)
     scale = phi * space.detJxW
-    # Per-point material matrix C = phi detJ w E + k n n^T. In the tangent,
-    # (phi'/t)(E eps)(E eps)^T detJ w = k n n^T with n = E eps / t and
+    # Per-point C = phi detJ w E + k n n^T at the Mandel entries of the pairs
+    # (_K, _L): (phi'/t)(E eps)(E eps)^T detJ w = k n n^T with n = E eps / t,
     # k = (b t)^a phi^(1+a) detJ w, and n = 0 at t = 0, where phi'/t is
-    # infinite for a < 2; in the secant system, k n = 0.
-    n = kn = np.zeros_like(eps_prev)
+    # infinite for a < 2. The secant system has no k n n^T.
+    i, j = _MANDEL[_K], _MANDEL[_L]
+    C = scale[..., None] * E[i, j]
     if tangent:
         E_eps = eps_prev @ E
         n = np.divide(E_eps, t_prev[..., None], out=np.zeros_like(E_eps),
                       where=t_prev[..., None] > 0.0)
-        kn = ((p.b * t_prev) ** p.a * phi ** (1.0 + p.a) * space.detJxW)[..., None] * n
-    C = np.empty(phi.shape + (3, 3))
-    for i, j in np.ndindex(3, 3):
-        C[..., i, j] = scale * E[i, j] + kn[..., i] * n[..., j]
-    # k_e = sum_q B_q^T C_q B_q, one (m, 3 nqp) @ (3 nqp, m) product
-    ne, _, _, m = B.shape
-    Bt = B.reshape(ne, -1, m).transpose(0, 2, 1)
-    CB = (C @ B).reshape(ne, -1, m)
+        k = ((p.b * t_prev) ** p.a * phi ** (1.0 + p.a) * space.detJxW)[..., None]
+        C += (k * n)[..., i] * n[..., j]
+    S = _WEIGHT * (2.0 / space.h)[:, [0, 1, 0, 1]]   # reference component k -> strain
+    C *= (S[:, _K] * S[:, _L])[:, None]
+    # table row (q, k, l): g_k g_l^T + g_l g_k^T (once if k = l), g at point q
+    ne, m = plan.dofs.shape
+    g = space.grad_table.reshape(m, space.nqp, 4)
+    table = np.einsum("aqp,bqp->qpab", g[..., _K], g[..., _L])
+    table += (_K != _L)[:, None, None] * table.transpose(0, 1, 3, 2)
+    k_local = (C.reshape(ne, -1) @ table.reshape(-1, m * m)).reshape(ne, m, m)
     del C
-    k_local = Bt @ CB
-    del CB   # freed before the scatter, which holds the global matrix
     if not tangent:
         return plan.system(k_local, f), clamps
-    f_int = (Bt @ (E_eps * scale[..., None]).reshape(ne, -1, 1))[..., 0]
-    f_int = np.bincount(plan.dofs.ravel(), weights=f_int.ravel(), minlength=space.n_dofs)
-    sys = plan.system(k_local, f - f_int, u_prev.values)
+    # F_int = sum_q G^T S sigma detJ w, G the reference gradients, and
+    # K_T u_prev = F_int + sum_q G^T S k n (n . eps), with n t = E eps: so the
+    # load f - F_int + K_T u_prev is f plus the last sum, without cancellation.
+    f_int, stiffening = (np.bincount(plan.dofs.ravel(), minlength=space.n_dofs, weights=(
+        (v[..., _MANDEL] * S[:, None]).reshape(ne, -1) @ space.grad_table.T).ravel())
+        for v in (scale[..., None] * E_eps, k * E_eps))
+    sys = plan.system(k_local, f + stiffening)
     sys.internal_force = f_int
     return sys, clamps
 
 
 def mass_matrix(space: FESpace) -> sp.csr_matrix:
-    """Consistent scalar mass matrix of the space (per component)."""
-    m_local = np.einsum("qa,qb,eq->eab", space.N, space.N, space.detJxW, optimize=True)
+    """Consistent scalar mass matrix of the space (per component): each
+    element's detJ = h_x h_y / 4 times the reference products of N."""
+    m_local = np.multiply.outer(0.25 * space.h[:, 0] * space.h[:, 1],
+                                np.einsum("qa,qb,q->ab", space.N, space.N, space.qp_w))
     return AssemblyPlan(space, 1).assemble(m_local)
 
 

@@ -396,6 +396,6 @@ def _solve(cfg: RunConfig, setup: solver._Setup) -> RunResult:
     space = setup.u.space
     u, report = newton_solve(space, p, setup.theta, cfg.mechanical_bc(), cfg.picard(),
                              start=setup)
-    fields = recover_fields(u, setup.theta, p, B=setup.B)
+    fields = recover_fields(u, setup.theta, p)
     return RunResult(config=cfg, mesh=space.mesh, theta=setup.theta, u=u, report=report,
                      fields=fields)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import FEField, strains_at_qps
+from .assembly import FEField, shape_functions, strains_at_qps
 from .constitutive import (
     MaterialParams,
     strain_energy_density_m,
@@ -65,8 +65,6 @@ def _project_to_nodes(mesh: CrackedMesh, space, qp_values: np.ndarray) -> np.nda
     nearest a node dominate its average. Exact for element-wise constants.
     qp_values has shape (ne, nqp, m); the result (n_nodes, m).
     """
-    from .assembly import shape_functions
-
     Ngeo, _ = shape_functions(1, space.qp_ref)          # (nqp, 4)
     w = Ngeo.T[None] * space.detJxW[:, None, :]         # (ne, 4, nqp)
     nodes = mesh.elements.ravel()
@@ -77,17 +75,15 @@ def _project_to_nodes(mesh: CrackedMesh, space, qp_values: np.ndarray) -> np.nda
     return acc / wacc[:, None]
 
 
-def recover_fields(u: FEField, theta: FEField | None, p: MaterialParams,
-                   B: np.ndarray | None = None) -> dict[str, NodalField]:
+def recover_fields(u: FEField, theta: FEField | None, p: MaterialParams) -> dict[str, NodalField]:
     """Nodal strain, stress, thermal stress, energy density, norms, principals.
 
-    B is the space's strain_displacement(), built here if not given. Raises
-    InadmissibleStrain, naming the (x, y) of the peak, if any quadrature
+    Raises InadmissibleStrain, naming the (x, y) of the peak, if any quadrature
     strain violates the bound, which signals a clamped, non-physical state.
     """
     space = u.space
     mesh = space.mesh
-    eps = strains_at_qps(u, B)                           # (ne, nqp, 3)
+    eps = strains_at_qps(u)                              # (ne, nqp, 3)
     try:
         sig = stress_from_strain_m(eps, p)
     except InadmissibleStrain as exc:

@@ -22,7 +22,6 @@ from .assembly import (
     l2_norm,
     mass_matrix,  # noqa: F401 -- stays in this namespace for perfbench/tracing.py
     mechanical_dirichlet,
-    strain_displacement,
     strains_at_qps,
     thermal_load,
 )
@@ -315,8 +314,8 @@ def solve_thermal(space: FESpace, p: MaterialParams, Q_source=0.0,
 @dataclass
 class _Setup:
     """Everything a solve builds before its nonlinear iteration: theta, the
-    b = 0 solution u it starts from (u.space is the displacement space), B,
-    the Dirichlet plan, the thermal load f, and load, the norm of the free
+    b = 0 solution u it starts from (u.space is the displacement space), the
+    Dirichlet plan, the thermal load f, and load, the norm of the free
     part of the b = 0 right-hand side (1 if it is zero). report and precond
     hold the b = 0 solve's history and factor. Nothing here depends on a or
     b (at b = 0 the multiplier is 1 for every a), so a sweep builds one
@@ -324,7 +323,6 @@ class _Setup:
 
     theta: FEField | None
     u: FEField
-    B: np.ndarray
     plan: AssemblyPlan
     f: np.ndarray
     load: float
@@ -340,28 +338,27 @@ class _Setup:
 
 
 def _b0_system(space: FESpace, p: MaterialParams, bc: MechanicalBC
-               ) -> tuple[np.ndarray, AssemblyPlan, LinearSystem, Preconditioner]:
-    """The part of a set-up that needs no theta: B, the Dirichlet plan, the
+               ) -> tuple[AssemblyPlan, LinearSystem, Preconditioner]:
+    """The part of a set-up that needs no theta: the Dirichlet plan, the
     b = 0 system without its thermal load, and its float32 factor, computed
     ahead of the load (theta enters the system only there)."""
-    B = strain_displacement(space)
     plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
     p_lin = p if p.b == 0.0 else replace(p, b=0.0)
-    sys, _ = assemble_mechanical(space, p_lin, None, FEField.zero(space), bc, B=B, plan=plan)
+    sys, _ = assemble_mechanical(space, p_lin, None, FEField.zero(space), bc, plan=plan)
     try:
         lu = _factor(sys.matrix.tocsr(), np.float32)
     except SolverBreakdown:
         lu = None   # linear_solve factors in float64 instead
-    return B, plan, sys, Preconditioner(lu, ahead=True)
+    return plan, sys, Preconditioner(lu, ahead=True)
 
 
 def _loaded_setup(space: FESpace, p: MaterialParams, theta: FEField | None,
-                  b0: tuple[np.ndarray, AssemblyPlan, LinearSystem, Preconditioner],
+                  b0: tuple[AssemblyPlan, LinearSystem, Preconditioner],
                   f: np.ndarray | None = None) -> _Setup:
     """The set-up from theta and a _b0_system, whose system gets the thermal
     load f (by default computed here from theta) on its free dofs (the same
     sum as a system assembled with it) and is solved on its factor."""
-    B, plan, sys, precond = b0
+    plan, sys, precond = b0
     if f is None:
         f = thermal_load(space, p, theta)
     free = ~plan.fixed
@@ -369,7 +366,7 @@ def _loaded_setup(space: FESpace, p: MaterialParams, theta: FEField | None,
     report = SolveReport()
     u = FEField(space, linear_solve(sys, report, precond=precond))
     load = float(np.linalg.norm(sys.rhs[free]))
-    return _Setup(theta, u, B, plan, f, load or 1.0, report, precond)
+    return _Setup(theta, u, plan, f, load or 1.0, report, precond)
 
 
 def picard_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
@@ -388,8 +385,7 @@ def picard_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
     omega = cfg.damping
     for _ in range(cfg.max_iter):
         sys = None   # freed before the next assembly, while the held LU is alive
-        sys, clamps = assemble_mechanical(space, p, theta, u, bc, B=setup.B,
-                                          plan=setup.plan, f=setup.f)
+        sys, clamps = assemble_mechanical(space, p, theta, u, bc, plan=setup.plan, f=setup.f)
         report.clamp_events += clamps
         x = linear_solve(sys, report, x0=u.values, precond=setup.precond)
         u_new = omega * x + (1.0 - omega) * u.values
@@ -421,10 +417,10 @@ def _scaled_start(setup: _Setup, p: MaterialParams) -> tuple[FEField, float, np.
     scaled, its peak b*t exceeding 0.9, and the lift violates the limit,
     InadmissibleStrain is raised."""
     u0, lift, space = setup.u, setup.plan.lift, setup.u.space
-    eps = strains_at_qps(u0, setup.B)
+    eps = strains_at_qps(u0)
     bt = _peak_bt(eps, p, space)[0]
     if bt > 0.9:
-        lift_bt, xy = _peak_bt(strains_at_qps(FEField(space, lift), setup.B), p, space)
+        lift_bt, xy = _peak_bt(strains_at_qps(FEField(space, lift)), p, space)
         if lift_bt >= 1.0 - DELTA_GUARD:
             raise InadmissibleStrain(
                 lift_bt / p.b, location=f"(x, y) = {xy}: the b = 0 start has b t above "
@@ -435,7 +431,7 @@ def _scaled_start(setup: _Setup, p: MaterialParams) -> tuple[FEField, float, np.
     energy = _energy(u0, p, eps, setup.f)
     for _ in range(20):
         half = FEField(space, lift + 0.5 * s * (u0.values - lift))
-        half_eps = strains_at_qps(half, setup.B)
+        half_eps = strains_at_qps(half)
         half_energy = _energy(half, p, half_eps, setup.f)
         if bt <= 0.9 and not half_energy < energy:
             break
@@ -500,9 +496,8 @@ def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
     eta, r_prev = 0.0, None
     for _ in range(cfg.max_iter):
         sys = None   # freed before the next assembly, while the held LU is alive
-        sys, clamps = assemble_mechanical(space, p, theta, u, bc, B=setup.B,
-                                          plan=setup.plan, f=setup.f, tangent=True,
-                                          eps_prev=eps)
+        sys, clamps = assemble_mechanical(space, p, theta, u, bc, plan=setup.plan,
+                                          f=setup.f, tangent=True, eps_prev=eps)
         report.clamp_events += clamps
         r_norm = np.linalg.norm(sys.rhs - sys.matrix @ u.values)
         force = float(np.linalg.norm(sys.internal_force))
@@ -517,7 +512,7 @@ def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
         step = cfg.damping
         while step >= cfg.damping * _MIN_STEP:
             trial = FEField(space, u.values + step * d)
-            trial_eps = strains_at_qps(trial, setup.B)
+            trial_eps = strains_at_qps(trial)
             trial_energy = _energy(trial, p, trial_eps, setup.f)
             if trial_energy <= energy + 10.0 * _EPS * abs(energy):
                 u, energy, eps = trial, trial_energy, trial_eps

@@ -20,41 +20,37 @@ SQRT2 = np.sqrt(2.0)
 IDENTITY_M = np.array([1.0, 1.0, 0.0])
 
 
-def _check_spd(mat: np.ndarray, what: str) -> None:
-    eigmin = float(np.linalg.eigvalsh(mat).min())
-    if eigmin <= 0.0:
-        raise NotPositiveDefinite(f"{what}: smallest eigenvalue {eigmin:.6g} <= 0")
+class _SymmetricPositive3:
+    """entries become read-only and symmetrized: ValueError unless 3x3 and
+    symmetric to 1e-12 relative, NotPositiveDefinite unless SPD."""
+
+    def __post_init__(self):
+        name = type(self).__name__
+        mat = np.asarray(self.entries, dtype=float)
+        if mat.shape != (3, 3):
+            raise ValueError(f"{name} expects a 3x3 matrix, got shape {mat.shape}")
+        if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * abs(mat).max()):
+            raise ValueError(f"{name} must be symmetric")
+        mat = 0.5 * (mat + mat.T)
+        mat.setflags(write=False)
+        object.__setattr__(self, "entries", mat)
+        eigmin = float(np.linalg.eigvalsh(mat).min())
+        if eigmin <= 0.0:
+            raise NotPositiveDefinite(f"{name[:-1].lower()}: smallest eigenvalue {eigmin:.6g} <= 0")
 
 
 @dataclass(frozen=True)
-class Stiffness3:
+class Stiffness3(_SymmetricPositive3):
     """Fourth-order stiffness operator as a symmetric 3x3 Mandel matrix."""
 
     entries: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=float)
-        if mat.shape != (3, 3):
-            raise ValueError("Stiffness3 expects a 3x3 matrix")
-        if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, abs(mat).max())):
-            raise ValueError("Stiffness3 must be symmetric")
-        mat = 0.5 * (mat + mat.T)
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
-        _check_spd(mat, "stiffness")
-
 
 @dataclass(frozen=True)
-class Compliance3:
+class Compliance3(_SymmetricPositive3):
     """Inverse of the stiffness operator, same Mandel convention."""
 
     entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        mat = 0.5 * (np.asarray(self.entries, dtype=float) + np.asarray(self.entries, dtype=float).T)
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
-        _check_spd(mat, "compliance")
 
 
 def structural_mandel(fiber_angle: float) -> np.ndarray:

@@ -20,13 +20,14 @@ from sltfem.assembly import (
     mechanical_dirichlet,
     scalar_gradients,
     shape_functions,
-    strain_displacement,
     strains_at_qps,
     thermal_dirichlet,
     _row_pointer,
 )
 from sltfem.mesh import GAMMA1, GAMMA3
 from sltfem.solver import linear_solve, solve_thermal
+
+from reference_geometry import bilinear_geometry, graded_cracked_grid
 
 
 def make_params(**kw):
@@ -72,6 +73,30 @@ class TestShapeFunctions:
         assert val == pytest.approx((2 / 5) * (2 / 3), rel=1e-14)
 
 
+def moved_centre():
+    mesh = build_grid(2, 2)
+    mesh.nodes[4] = (0.55, 0.5)
+    return mesh
+
+
+def rotated():
+    mesh = build_grid(2, 2)
+    c, s = math.cos(0.3), math.sin(0.3)
+    mesh.nodes = mesh.nodes @ np.array([[c, s], [-s, c]])
+    return mesh
+
+
+def one_clockwise():
+    mesh = build_grid(2, 2)
+    mesh.elements[1] = mesh.elements[1, ::-1]
+    return mesh
+
+
+# Meshes with an element FESpace rejects; its bilinear map would take the
+# first two.
+NOT_RECTANGLES = {f.__name__: f for f in (moved_centre, rotated, one_clockwise)}
+
+
 class TestFESpace:
     def test_q2_dof_count(self):
         mesh = build_grid(2, 2)
@@ -95,6 +120,19 @@ class TestFESpace:
     def test_area_from_weights(self):
         space = FESpace(build_grid(5, 3), order=1)
         assert space.detJxW.sum() == pytest.approx(1.0, abs=1e-13)
+
+    def test_element_sizes_from_corners(self):
+        space = FESpace(graded_cracked_grid(), order=2)
+        widths = np.diff(np.linspace(0.0, 1.0, 9) ** 2)
+        np.testing.assert_allclose(space.h[:, 0], np.tile(widths, 8), rtol=1e-14)
+        np.testing.assert_allclose(space.h[:, 1], 0.125, rtol=1e-14)
+        assert space.detJxW.sum() == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("make", NOT_RECTANGLES.values(), ids=NOT_RECTANGLES.keys())
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_rejects_other_than_rectangles(self, make, order):
+        with pytest.raises(ValueError, match="axis-aligned rectangle"):
+            FESpace(make(), order=order)
 
     def test_field_length_validation(self):
         space = FESpace(build_grid(2, 2), order=1, components=2)
@@ -298,9 +336,8 @@ class TestQuadratureExactness:
         rich = FESpace(mesh, order=order, components=2, n_quad=5)
 
         def local_matrices(space):
-            from sltfem.assembly import strain_displacement
-            B = strain_displacement(space)
-            return np.einsum("eqim,eq,ij,eqjn->emn", B, space.detJxW,
+            _, detJxW, B = bilinear_geometry(space)
+            return np.einsum("eqim,eq,ij,eqjn->emn", B, detJxW,
                              p.E.entries, B, optimize=True)
 
         np.testing.assert_allclose(local_matrices(base), local_matrices(rich),
@@ -396,6 +433,9 @@ def sorted_key_plan(space, dirichlet=None):
 
 
 PLAN_CASES = [(n, order, b) for n in (4, 8) for order in (1, 2) for b in (0.0, 0.02)]
+# The oracles' cases plus a graded mesh, whose elements differ in width.
+ORACLE_CASES = PLAN_CASES + [("graded", order, 0.02) for order in (1, 2)]
+TANGENT_CASES = [(a, b, order) for a in (0.5, 2.0) for b in (0.0, 0.02) for order in (1, 2)]
 
 
 class TestAssemblyPlan:
@@ -403,16 +443,17 @@ class TestAssemblyPlan:
 
     @staticmethod
     def thermal(n, order, b):
-        space = FESpace(build_cracked_grid(n, n), order=order)
-        return space, make_params(b=b)
+        mesh = graded_cracked_grid() if n == "graded" else build_cracked_grid(n, n)
+        return FESpace(mesh, order=order), make_params(b=b)
 
-    @pytest.mark.parametrize("n,order,b", PLAN_CASES)
+    @pytest.mark.parametrize("n,order,b", ORACLE_CASES)
     def test_thermal_matches_oracle(self, n, order, b):
         space, p = self.thermal(n, order, b)
         bc = ThermalBC(value=lambda x, y: 400.0 * x * (1.0 - x))
         sys = assemble_thermal(space, p, 100.0, bc)
-        k_local = p.k * np.einsum("eqai,eqbi,eq->eab", space.dNdx, space.dNdx, space.detJxW)
-        f_local = np.einsum("qa,eq->ea", 100.0 * space.N, space.detJxW)
+        dNdx, detJxW, _ = bilinear_geometry(space)
+        k_local = p.k * np.einsum("eqai,eqbi,eq->eab", dNdx, dNdx, detJxW)
+        f_local = np.einsum("qa,eq->ea", 100.0 * space.N, detJxW)
         f = np.zeros(space.n_dofs)
         np.add.at(f, space.element_dofs.ravel(), f_local.ravel())
         K_ref, f_ref = eliminate_oracle(coo_matrix_oracle(space, k_local, 1), f,
@@ -420,7 +461,7 @@ class TestAssemblyPlan:
         assert_close_rel(sys.matrix.toarray(), K_ref)
         assert_close_rel(sys.rhs, f_ref)
 
-    @pytest.mark.parametrize("n,order,b", PLAN_CASES)
+    @pytest.mark.parametrize("n,order,b", ORACLE_CASES)
     def test_mechanical_matches_oracle(self, n, order, b):
         theta_space, p = self.thermal(n, order, b)
         theta = solve_thermal(theta_space, p, Q_source=100.0, bc=ThermalBC(value=100.0))
@@ -434,13 +475,15 @@ class TestAssemblyPlan:
         from sltfem.constitutive import relaxation_factor_m
         from sltfem.tensors import energy_norm_m
 
-        B = strain_displacement(space)
-        phi, _ = relaxation_factor_m(energy_norm_m(strains_at_qps(u_prev, B), p.E.entries), p)
+        dNdx, detJxW, B = bilinear_geometry(space)
+        eps = np.einsum("eqim,em->eqi", B, u_prev.element_values().reshape(
+            space.mesh.n_elements, -1))
+        phi, _ = relaxation_factor_m(energy_norm_m(eps, p.E.entries), p)
         assert (phi.max() > phi.min()) == (b > 0.0)
-        k_local = np.einsum("eqim,eq,ij,eqjn->emn", B, phi * space.detJxW, p.E.entries, B,
+        k_local = np.einsum("eqim,eq,ij,eqjn->emn", B, phi * detJxW, p.E.entries, B,
                             optimize=True)
         f_local = -p.alpha * np.einsum("eqi,qa,eq->eai", np.einsum(
-            "ea,eqai->eqi", theta.element_values(), space.dNdx), space.N, space.detJxW)
+            "ea,eqai->eqi", theta.element_values(), dNdx), space.N, detJxW)
         f = np.zeros(space.n_dofs)
         np.add.at(f, space.vector_dofs(space.element_dofs).ravel(), f_local.ravel())
         K_ref, f_ref = eliminate_oracle(coo_matrix_oracle(space, k_local, 2), f,
@@ -448,11 +491,16 @@ class TestAssemblyPlan:
         assert_close_rel(sys.matrix.toarray(), K_ref)
         assert_close_rel(sys.rhs, f_ref)
 
-    @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("b", [0.0, 0.02])
-    @pytest.mark.parametrize("a", [0.5, 2.0])
-    def test_tangent_matches_oracle(self, order, b, a):
-        theta_space, _ = self.thermal(4, order, b)
+    @pytest.mark.parametrize("a,b,order", TANGENT_CASES)
+    def test_tangent_matches_oracle(self, a, b, order):
+        self.check_tangent(4, order, b, a)
+
+    @pytest.mark.parametrize("a,b,order", TANGENT_CASES)
+    def test_tangent_matches_oracle_on_graded_mesh(self, a, b, order):
+        self.check_tangent("graded", order, b, a)
+
+    def check_tangent(self, n, order, b, a):
+        theta_space, _ = self.thermal(n, order, b)
         p = make_params(a=a, b=b)
         theta = solve_thermal(theta_space, p, Q_source=100.0, bc=ThermalBC(value=100.0))
         space = FESpace(theta_space.mesh, order=order, components=2)
@@ -462,10 +510,14 @@ class TestAssemblyPlan:
         sys, _ = assemble_mechanical(space, p, theta, u_prev, bc, tangent=True)
 
         # dsigma/deps = phi E + (phi'/t)(E eps)(E eps)^T at each point,
-        # phi' = b^a t^(a-1) (1 - (b t)^a)^(-1/a-1)
-        E = p.E.entries
-        B = strain_displacement(space)
-        eps = np.einsum("eqim,em->eqi", B, u_prev.element_values().reshape(
+        # phi' = b^a t^(a-1) (1 - (b t)^a)^(-1/a-1). The oracle is evaluated
+        # in long double: on the graded mesh, the float64 sums of its load
+        # alone round above the tolerance below.
+        ld = np.longdouble
+        E = p.E.entries.astype(ld)
+        dNdx, detJxW, B = (v.astype(ld) for v in bilinear_geometry(space))
+        u_ld = u_prev.values.astype(ld)
+        eps = np.einsum("eqim,em->eqi", B, u_ld[space.vector_dofs(space.element_dofs)].reshape(
             space.mesh.n_elements, -1))
         t = np.sqrt(np.einsum("eqi,ij,eqj->eq", eps, E, eps))
         phi = (1.0 - (b * t) ** a) ** (-1.0 / a)
@@ -473,29 +525,29 @@ class TestAssemblyPlan:
         E_eps = eps @ E
         D = phi[..., None, None] * E + dphi_t[..., None, None] * np.einsum(
             "eqi,eqj->eqij", E_eps, E_eps)
-        k_local = np.einsum("eqim,eq,eqij,eqjn->emn", B, space.detJxW, D, B)
-        f_int_local = np.einsum("eqim,eqi,eq->em", B, phi[..., None] * E_eps, space.detJxW)
+        k_local = np.einsum("eqim,eq,eqij,eqjn->emn", B, detJxW, D, B)
+        f_int_local = np.einsum("eqim,eqi,eq->em", B, phi[..., None] * E_eps, detJxW)
         vdofs = space.vector_dofs(space.element_dofs).ravel()
-        f_int = np.zeros(space.n_dofs)
+        f_int = np.zeros(space.n_dofs, dtype=ld)
         np.add.at(f_int, vdofs, f_int_local.ravel())
         f_local = -p.alpha * np.einsum("eqi,qa,eq->eai", np.einsum(
-            "ea,eqai->eqi", theta.element_values(), space.dNdx), space.N, space.detJxW)
-        f = np.zeros(space.n_dofs)
+            "ea,eqai->eqi", theta.element_values(), dNdx), space.N, detJxW)
+        f = np.zeros(space.n_dofs, dtype=ld)
         np.add.at(f, vdofs, f_local.ravel())
         K = coo_matrix_oracle(space, k_local, 2)
-        K_ref, rhs_ref = eliminate_oracle(K, f - f_int + K @ u_prev.values,
+        K_ref, rhs_ref = eliminate_oracle(K, f - f_int + K @ u_ld,
                                           mechanical_dirichlet(space, bc))
         assert_close_rel(sys.matrix.toarray(), K_ref)
         assert_close_rel(sys.internal_force, f_int)
         # The load f - F_int + K u_prev cancels its larger terms, so either side
         # rounds at their size.
-        terms = max(abs(f_int).max(), abs(K @ u_prev.values).max())
+        terms = float(max(abs(f_int).max(), abs(K @ u_ld).max()))
         np.testing.assert_allclose(sys.rhs, rhs_ref, rtol=0, atol=1e-14 * terms)
 
     @pytest.mark.parametrize("n,order,b", PLAN_CASES)
     def test_mass_matches_oracle(self, n, order, b):
         space, _ = self.thermal(n, order, b)
-        m_local = np.einsum("qa,qb,eq->eab", space.N, space.N, space.detJxW)
+        m_local = np.einsum("qa,qb,eq->eab", space.N, space.N, bilinear_geometry(space)[1])
         assert_close_rel(mass_matrix(space).toarray(),
                          coo_matrix_oracle(space, m_local, 1).toarray())
 

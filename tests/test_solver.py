@@ -19,7 +19,6 @@ from sltfem.assembly import (
     assemble_thermal,
     l2_norm,
     mechanical_dirichlet,
-    strain_displacement,
     strains_at_qps,
     thermal_load,
 )
@@ -34,6 +33,8 @@ from sltfem.solver import (
     solve_thermal,
 )
 from sltfem.tensors import energy_norm_m
+
+from reference_geometry import bilinear_geometry
 
 
 def make_params(**kw):
@@ -55,9 +56,10 @@ def cracked_setup(n=4, order=2, Q=100.0, **paramkw):
 def internal_force(u, p):
     """F_int = sum_q B^T sigma detJ w over all dofs, reaction rows included."""
     space = u.space
-    B = strain_displacement(space)
-    sigma = stress_from_strain_m(strains_at_qps(u, B), p)
-    f_local = np.einsum("eqim,eqi->em", B, sigma * space.detJxW[..., None])
+    _, detJxW, B = bilinear_geometry(space)
+    u_local = u.element_values().reshape(space.mesh.n_elements, -1)
+    sigma = stress_from_strain_m(np.einsum("eqim,em->eqi", B, u_local), p)
+    f_local = np.einsum("eqim,eqi->em", B, sigma * detJxW[..., None])
     dofs = space.vector_dofs(space.element_dofs).ravel()
     return np.bincount(dofs, weights=f_local.ravel(), minlength=space.n_dofs)
 

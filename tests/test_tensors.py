@@ -108,6 +108,21 @@ class TestBuildCompliance:
         with pytest.raises(NotPositiveDefinite):
             Compliance3(np.diag([1.0, -1.0, 1.0]))
 
+    @pytest.mark.parametrize("cls", [Stiffness3, Compliance3])
+    def test_rejects_other_shapes(self, cls):
+        with pytest.raises(ValueError, match="3x3"):
+            cls(np.eye(2))
+
+    @pytest.mark.parametrize("cls", [Stiffness3, Compliance3])
+    def test_rejects_asymmetry(self, cls):
+        mat = np.eye(3)
+        mat[0, 1] = 0.1
+        with pytest.raises(ValueError, match="symmetric"):
+            cls(mat)
+        # asymmetry within 1e-12 of the largest entry is averaged away
+        mat[0, 1] = 1e-13
+        np.testing.assert_array_equal(cls(mat).entries, cls(mat).entries.T)
+
 
 class TestEnergyNorm:
     def test_zero(self):
