@@ -9,6 +9,7 @@ imposed by symmetric elimination so the reduced matrix stays SPD.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,14 +253,15 @@ def _evaluate_bc(value, coords: np.ndarray) -> np.ndarray:
 class AssemblyPlan:
     """CSR pattern of a space's global matrix, built once and reused per assembly.
 
-    Element matrices are summed into the CSR data through a scatter index,
-    in the order a COO-to-CSR conversion sums them. The pattern is sorted
-    from the scalar (row, col) keys. Given Dirichlet data, it is the pattern
-    left by symmetric elimination: a fixed row or column keeps only its unit
-    diagonal, and the scatter sends each element entry in a fixed row or
-    column to one slot past the end, which is discarded. A plan is tied to
-    its space and boundary data: build it in the solve that uses it, to be
-    freed with it.
+    Element matrices, given in blocks of consecutive elements, are summed
+    into the CSR data through a scatter index, in the order a COO-to-CSR
+    conversion sums them, so the blocks never have to exist at once. The
+    pattern is sorted from the scalar (row, col) keys. Given Dirichlet data,
+    it is the pattern left by symmetric elimination: a fixed row or column
+    keeps only its unit diagonal, and the scatter sends each element entry
+    in a fixed row or column to one slot past the end, which is discarded. A
+    plan is tied to its space and boundary data: build it in the solve that
+    uses it, to be freed with it.
     """
 
     def __init__(self, space: FESpace, block: int,
@@ -309,21 +311,32 @@ class AssemblyPlan:
         indices[self.unit_diagonal] = fixed
         self.pattern = (indices[:nnz], indptr)
 
-    def assemble(self, k_local: np.ndarray) -> sp.csr_matrix:
-        """Global matrix of per-element matrices (ne, m, m), reduced by
-        symmetric elimination if the plan has Dirichlet data."""
+    def assemble(self, k_blocks: Iterable[np.ndarray]) -> tuple[sp.csr_matrix, np.ndarray]:
+        """Global matrix K of per-element matrices, reduced by symmetric
+        elimination if the plan has Dirichlet data, and K lift, summed element
+        by element. k_blocks are (elements, m, m) blocks of consecutive
+        elements, in element order; each is summed straight into the CSR data
+        and K lift, in the order np.bincount sums one whole array, and may be
+        dropped before the next is formed."""
         nnz = self.pattern[0].size
-        data = np.bincount(self.scatter, weights=k_local.ravel(), minlength=nnz + 1)[:nnz]
+        data, k_lift = np.zeros(nnz + 1), np.zeros(self.n)
+        element = entry = 0   # the block's first element and first scatter entry
+        for k_local in k_blocks:
+            dofs = self.dofs[element:element + len(k_local)]
+            np.add.at(data, self.scatter[entry:entry + k_local.size], k_local.ravel())
+            np.add.at(k_lift, dofs.ravel(), (k_local @ self.lift[dofs][..., None]).ravel())
+            element, entry = element + len(k_local), entry + k_local.size
+        data = data[:nnz]
         data[self.unit_diagonal] = 1.0
-        return sp.csr_matrix((data, *self.pattern), shape=(self.n, self.n))
+        return sp.csr_matrix((data, *self.pattern), shape=(self.n, self.n)), k_lift
 
-    def system(self, k_local: np.ndarray, f: np.ndarray) -> LinearSystem:
-        """The reduced system of per-element matrices k_local: the load f - K lift
-        on the free dofs, K lift summed element by element, and the lift on the fixed."""
-        Kd = (k_local @ self.lift[self.dofs][..., None])[..., 0]
-        rhs = f - np.bincount(self.dofs.ravel(), weights=Kd.ravel(), minlength=self.n)
+    def system(self, k_blocks: Iterable[np.ndarray], f: np.ndarray) -> LinearSystem:
+        """The reduced system of per-element matrices in blocks (see assemble):
+        the load f - K lift on the free dofs and the lift on the fixed."""
+        matrix, k_lift = self.assemble(k_blocks)
+        rhs = f - k_lift
         rhs[self.fixed] = self.lift[self.fixed]
-        return LinearSystem(matrix=self.assemble(k_local), rhs=rhs)
+        return LinearSystem(matrix=matrix, rhs=rhs)
 
 
 def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
@@ -364,7 +377,7 @@ def assemble_thermal(space: FESpace, p: MaterialParams, Q_source=0.0,
     f_local = (Qq * space.detJxW) @ space.N
     f = np.bincount(space.element_dofs.ravel(), weights=f_local.ravel(),
                     minlength=space.n_scalar_dofs)
-    return AssemblyPlan(space, 1, thermal_dirichlet(space, bc)).system(k_local, f)
+    return AssemblyPlan(space, 1, thermal_dirichlet(space, bc)).system([k_local], f)
 
 
 def _gradients(field: FEField) -> np.ndarray:
@@ -390,6 +403,9 @@ def scalar_gradients(field: FEField) -> np.ndarray:
 _MANDEL = np.array([0, 2, 2, 1])
 _WEIGHT = np.array([1.0, 1.0 / SQRT2, 1.0 / SQRT2, 1.0])
 _K, _L = np.triu_indices(4)
+# Elements per block of assemble_mechanical: a block's element matrices are
+# formed and scattered before the next block's, so no (ne, m, m) array exists.
+_ELEMENT_BLOCK = 256
 
 
 def strains_at_qps(u: FEField) -> np.ndarray:
@@ -436,10 +452,12 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
     dsigma/deps = phi E + (phi'/t)(E eps)(E eps)^T and the load
     f - F_int(u_prev) + K_T u_prev, so the solution x gives the Newton
     direction x - u_prev; the system carries F_int as internal_force. Returns
-    the system and the number of clamp events. The element matrices are one
-    product of the per-point material matrices, on gradients scaled by 2/h,
-    with a fixed table of reference-gradient products (as in MILAMIN:
-    Dabrowski, Krotkiewski & Schmid, G^3 9, 2008). A solve that assembles
+    the system and the number of clamp events. The element matrices of each
+    block of _ELEMENT_BLOCK elements are one product of the per-point
+    material matrices, on gradients scaled by 2/h, with a fixed table of
+    reference-gradient products (as in MILAMIN: Dabrowski, Krotkiewski &
+    Schmid, G^3 9, 2008), and are scattered into the plan's CSR data, and
+    into K lift, before the next block is formed. A solve that assembles
     repeatedly passes plan = AssemblyPlan(space, 2, mechanical_dirichlet(space,
     bc)) and f = thermal_load(space, p, theta), built once, and may pass
     strains_at_qps(u_prev) as eps_prev.
@@ -476,17 +494,19 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
     g = space.grad_table.reshape(m, space.nqp, 4)
     table = np.einsum("aqp,bqp->qpab", g[..., _K], g[..., _L])
     table += (_K != _L)[:, None, None] * table.transpose(0, 1, 3, 2)
-    k_local = (C.reshape(ne, -1) @ table.reshape(-1, m * m)).reshape(ne, m, m)
-    del C
+    table = table.reshape(-1, m * m)
+    C = C.reshape(ne, -1)
+    k_blocks = ((C[s:s + _ELEMENT_BLOCK] @ table).reshape(-1, m, m)
+                for s in range(0, ne, _ELEMENT_BLOCK))
     if not tangent:
-        return plan.system(k_local, f), clamps
+        return plan.system(k_blocks, f), clamps
     # F_int = sum_q G^T S sigma detJ w, G the reference gradients, and
     # K_T u_prev = F_int + sum_q G^T S k n (n . eps), with n t = E eps: so the
     # load f - F_int + K_T u_prev is f plus the last sum, without cancellation.
     f_int, stiffening = (np.bincount(plan.dofs.ravel(), minlength=space.n_dofs, weights=(
         (v[..., _MANDEL] * S[:, None]).reshape(ne, -1) @ space.grad_table.T).ravel())
         for v in (scale[..., None] * E_eps, k * E_eps))
-    sys = plan.system(k_local, f + stiffening)
+    sys = plan.system(k_blocks, f + stiffening)
     sys.internal_force = f_int
     return sys, clamps
 
@@ -496,7 +516,7 @@ def mass_matrix(space: FESpace) -> sp.csr_matrix:
     element's detJ = h_x h_y / 4 times the reference products of N."""
     m_local = np.multiply.outer(0.25 * space.h[:, 0] * space.h[:, 1],
                                 np.einsum("qa,qb,q->ab", space.N, space.N, space.qp_w))
-    return AssemblyPlan(space, 1).assemble(m_local)
+    return AssemblyPlan(space, 1).assemble([m_local])[0]
 
 
 def l2_norm(space: FESpace, dof_values: np.ndarray) -> float:

@@ -200,6 +200,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
             parsed = parser(value)
         except ValueError as exc:
             raise TypeMismatch(key, lineno, str(exc)) from exc
+        if parser in (float, _parse_values) and not np.all(np.isfinite(parsed)):
+            raise InvariantViolation(key, lineno, f"{value} must be finite")
         if attr == "crack":
             crack_on = parsed
         elif attr.startswith("crack."):

@@ -34,6 +34,9 @@ _EPS = np.finfo(np.float64).eps
 # Targets below this get a long-double residual; a double product only fails
 # a target near the cancellation floor, at most 4.1e-12 on the 64^2 plate.
 _LONG_DOUBLE_BELOW = 1e-9
+# Rows per block of a residual pass: a block's long-double and |A| entries
+# are all the pass allocates beyond its vectors.
+_ROW_BLOCK = 4096
 # Preconditioned CG iterations a held factor gets per linear solve before the
 # system is factored afresh; one factorization costs 15 to 25 of them.
 _CG_BUDGET = 30
@@ -123,11 +126,13 @@ class _Factor:
 
 class _Residual:
     """Relative residual of A x = b, which each CG pass restarts from, and the
-    cancellation floor under it. For a target tol below _LONG_DOUBLE_BELOW
-    the product is taken in extended precision, and for a looser one in
-    float64, with no long-double copy of A (Carson & Higham, SIAM J. Sci.
-    Comput. 40, 2018). x None stands for zero, where the residual is b and
-    the floor 0, exactly."""
+    cancellation floor under it, both taken in one pass over blocks of
+    _ROW_BLOCK rows. For a target tol below _LONG_DOUBLE_BELOW the product is
+    taken in extended precision, one block's entries cast at a time, and for
+    a looser one in float64 (Carson & Higham, SIAM J. Sci. Comput. 40, 2018):
+    no long-double or |A| copy of A is made, and each row is summed in the
+    order of a whole-matrix product. x None stands for zero, where the
+    residual is b and the floor 0, exactly."""
 
     def __init__(self, A: sp.csr_matrix, b: np.ndarray, tol: float = _RESIDUAL_TOL):
         self.A = A
@@ -135,32 +140,40 @@ class _Residual:
         self.scale = bnorm if bnorm > 0 else 1.0
         self.b = b
         self.extended = tol < _LONG_DOUBLE_BELOW
-        # built at the first residual and floor of an x, after any factorization
-        self._Aw = self._absA = None
+        self._floor = (None, 0.0)   # the last x passed and the floor there
 
     def __call__(self, x: np.ndarray | None) -> tuple[np.ndarray, float]:
         if x is None:
             return self.b.copy(), np.linalg.norm(self.b) / self.scale
-        if not self.extended:
-            r = self.b - self.A @ x
-            return r, np.linalg.norm(r) / self.scale
-        if self._Aw is None:
-            A = self.A
-            self._Aw = sp.csr_matrix((A.data.astype(np.longdouble), A.indices, A.indptr),
-                                     shape=A.shape)
-        r = self.b.astype(np.longdouble) - self._Aw @ x.astype(np.longdouble)
-        r = r.astype(np.float64)
+        A, n = self.A, self.A.shape[0]
+        if self.extended:
+            x_ld, r = x.astype(np.longdouble), np.empty(n)
+        else:
+            r = self.b - A @ x
+        x_abs, abs_Ax = np.abs(x), np.empty(n)
+        for lo in range(0, n, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, n)
+            start, stop = A.indptr[lo], A.indptr[hi]
+            data = A.data[start:stop]
+            block = sp.csr_matrix((np.abs(data), A.indices[start:stop],
+                                   A.indptr[lo:hi + 1] - start), shape=(hi - lo, n))
+            abs_Ax[lo:hi] = block @ x_abs   # rows lo:hi of |A| |x|
+            if self.extended:
+                block.data = data.astype(np.longdouble)   # rows lo:hi of A
+                r[lo:hi] = self.b[lo:hi] - block @ x_ld
+        # A rounded double vector cannot beat the cancellation floor
+        # eps * || |A| |x| || / ||b||, however ill-conditioned the mesh.
+        self._floor = (x, _EPS * np.linalg.norm(abs_Ax) / self.scale)
         return r, np.linalg.norm(r) / self.scale
 
     def floor(self, x: np.ndarray | None) -> float:
-        # A rounded double vector cannot beat the cancellation floor
-        # eps * || |A| |x| || / ||b||, however ill-conditioned the mesh.
+        """The floor at x, from the pass of the last call at x (made here if
+        the last call was at another x)."""
         if x is None:
             return 0.0
-        if self._absA is None:
-            A = self.A
-            self._absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
-        return _EPS * np.linalg.norm(self._absA @ np.abs(x)) / self.scale
+        if self._floor[0] is not x:
+            self(x)
+        return self._floor[1]
 
 
 def _meets_contract(res: float, floor: float, tol: float = _RESIDUAL_TOL) -> bool:
@@ -169,11 +182,17 @@ def _meets_contract(res: float, floor: float, tol: float = _RESIDUAL_TOL) -> boo
 
 
 def _factor(A: sp.csr_matrix, dtype: type) -> _Factor:
-    """SuperLU factor of A in dtype, ordered by minimum degree on A + A^T."""
-    # Cast before the CSC conversion, so no float64 CSC copy is made, and
-    # keep no name to the cast CSR, so it is freed before splu runs.
-    csc = sp.csr_matrix((A.data.astype(dtype, copy=False), A.indices, A.indptr),
-                        shape=A.shape).tocsc()
+    """SuperLU factor of A in dtype, ordered by minimum degree on A + A^T.
+
+    Every system here is symmetric, so SuperLU gets A's CSR arrays, the data
+    cast to dtype, as the CSC of A^T = A: no transposed copy is made. A
+    matrix symmetric only to rounding, such as a Newton tangent, gets the
+    factor of A^T, which preconditions CG on A as well. A is first put in
+    canonical form in place, as splu puts its CSC: sorting the shared
+    indices there would leave A's own data unsorted."""
+    A.sum_duplicates()
+    csc = sp.csc_matrix((A.data.astype(dtype, copy=False), A.indices, A.indptr),
+                        shape=A.shape)
     try:
         return _Factor(spla.splu(csc, permc_spec="MMD_AT_PLUS_A"), dtype)
     except RuntimeError as exc:
@@ -246,15 +265,17 @@ def linear_solve(sys: LinearSystem, report: SolveReport | None = None,
     the true residual. For a tol below 1e-9 (_LONG_DOUBLE_BELOW) that
     residual is taken in extended precision, as the plain double residual
     can stall just above such a tolerance through cancellation; a looser
-    tol, such as an early Newton system's, gets the float64 residual. A
-    factor only has to precondition, so a fresh one is computed in float32:
-    CG restarted from the true residual recovers full accuracy (Carson &
-    Higham, SIAM J. Sci. Comput. 40, 2018; Langou et al., SC 2006). With a
-    factor held in precond, CG starts from x0 (default zero), and x0 is
-    returned unchanged if it already meets the contract. Without one, or if
-    CG on the held one misses within _CG_BUDGET iterations, the held factor
-    is dropped, the system is factored afresh and CG starts from zero; the
-    fresh factor is held in precond, if given. A float32 factor of this
+    tol, such as an early Newton system's, gets the float64 residual. Either
+    is taken with its cancellation floor over blocks of rows (_Residual),
+    and a factor is computed from A's own CSR arrays (_factor): neither
+    copies the matrix. A factor only has to precondition, so a fresh one is
+    computed in float32: CG restarted from the true residual recovers full
+    accuracy (Carson & Higham, SIAM J. Sci. Comput. 40, 2018; Langou et al.,
+    SC 2006). With a factor held in precond, CG starts from x0 (default
+    zero), and x0 is returned unchanged if it already meets the contract.
+    Without one, or if CG on the held one misses within _CG_BUDGET
+    iterations, the held factor is dropped, the system is factored afresh
+    and CG starts from zero; the fresh factor is held in precond, if given. A float32 factor of this
     system computed ahead (Preconditioner.ahead) is taken as the fresh
     float32 factorization. If the float32 factorization fails, its
     triangular solve is not finite or its CG misses, the system is factored
@@ -283,7 +304,7 @@ def linear_solve(sys: LinearSystem, report: SolveReport | None = None,
                     if lu is None:   # the factorization ahead failed
                         continue
                 else:
-                    lu = _factor(A, dtype)   # the float32 splu precedes any floor() and its |A|
+                    lu = _factor(A, dtype)
                 if report is not None:
                     report.factorizations += 1
                 x, res, iterations = _preconditioned_cg(A, None, lu, residual, tol)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import sltfem.assembly
 from sltfem import CrackSpec, EmptyDirichlet, MaterialParams, build_cracked_grid, build_grid
 from sltfem.assembly import (
     AssemblyPlan,
@@ -567,7 +568,39 @@ class TestAssemblyPlan:
             nnz = pattern[0].size
             data = np.bincount(scatter, weights=k_local.ravel(), minlength=nnz + 1)[:nnz]
             data[unit_diagonal] = 1.0
-            np.testing.assert_array_equal(plan.assemble(k_local).data, data)
+            np.testing.assert_array_equal(plan.assemble([k_local])[0].data, data)
+            # blocks of consecutive elements sum in the same order, bit for bit,
+            # into the matrix and into K lift
+            matrix, k_lift = plan.assemble(np.array_split(k_local, 3))
+            np.testing.assert_array_equal(matrix.data, data)
+            Kd = (k_local @ plan.lift[plan.dofs][..., None]).ravel()
+            np.testing.assert_array_equal(
+                k_lift, np.bincount(plan.dofs.ravel(), weights=Kd, minlength=plan.n))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_element_blocks_match_the_whole_element_array(self, monkeypatch, order):
+        theta_space, p = self.thermal(8, order, 0.02)
+        theta = solve_thermal(theta_space, p, Q_source=100.0, bc=ThermalBC(value=100.0))
+        space = FESpace(theta_space.mesh, order=order, components=2)
+        u_prev = FEField(space, interpolate_vec(space, lambda x, y: 5.0 * x * y,
+                                                lambda x, y: 3.0 * x * x))
+        bc = MechanicalBC(top_uy=0.1)
+
+        def systems():
+            return [assemble_mechanical(space, p, theta, u_prev, bc, tangent=tangent)[0]
+                    for tangent in (False, True)]
+
+        ne = space.mesh.n_elements
+        monkeypatch.setattr(sltfem.assembly, "_ELEMENT_BLOCK", ne)
+        whole = systems()
+        monkeypatch.setattr(sltfem.assembly, "_ELEMENT_BLOCK", 5)
+        assert ne % 5
+        for got, want in zip(systems(), whole):
+            np.testing.assert_array_equal(got.matrix.indices, want.matrix.indices)
+            np.testing.assert_array_equal(got.matrix.indptr, want.matrix.indptr)
+            assert_close_rel(got.matrix.data, want.matrix.data)
+            assert_close_rel(got.rhs, want.rhs)
+        np.testing.assert_array_equal(got.internal_force, want.internal_force)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_dirichlet_rows_and_columns_hold_unit_diagonal(self, order):

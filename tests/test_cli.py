@@ -56,6 +56,16 @@ class TestSolveCommand:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error: line 0: key 'mesh.nx'")
 
+    @pytest.mark.parametrize("key,value", [("thermal_bc.Q", "inf"),
+                                           ("mechanical_bc.top_uy", "nan"),
+                                           ("material.fiber_angle", "inf")])
+    def test_non_finite_value_exits_error_naming_its_key(self, key, value, capsys):
+        # pytest turns any warning into an error here, so none is raised on the way
+        code = main(["solve", "--mesh.nx", "4", "--mesh.ny", "4", f"--{key}", value])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: line 0: key '{key}': {value} must be finite"]
+
     def test_not_converged_exit_code(self, capsys):
         code = main(["solve", "--mesh.nx", "4", "--mesh.ny", "4",
                      "--thermal_bc.Q", "100", "--picard.max_iter", "2"])

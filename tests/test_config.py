@@ -98,6 +98,15 @@ class TestErrors:
         ("sweep.parameter = k\n", "sweep.parameter"),
         ("sweep.parameter = b\nsweep.values = 0, -0.1\n", "sweep.values"),
         ("sweep.parameter = a\nsweep.values = 0.5, 0\n", "sweep.values"),
+        # non-finite values, which no range check catches
+        ("thermal_bc.Q = inf\n", "thermal_bc.Q"),
+        ("mechanical_bc.top_uy = nan\n", "mechanical_bc.top_uy"),
+        ("material.fiber_angle = inf\n", "material.fiber_angle"),
+        ("material.lambda = nan\n", "material.lambda"),
+        ("mesh.nx = 4\nmesh.crack_tip_x = nan\n", "mesh.crack_tip_x"),
+        ("mesh.crack_y = -inf\n", "mesh.crack_y"),
+        ("sweep.values = 0.1, nan\n", "sweep.values"),
+        ("sweep.parameter = b\nsweep.values = 0, inf\n", "sweep.values"),
     ])
     def test_invariants_name_offending_key(self, text, key):
         with pytest.raises(InvariantViolation) as exc:

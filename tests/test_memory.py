@@ -1,0 +1,76 @@
+"""Traced peak allocations of the solve path, in multiples of the bytes of
+the tangent's float64 data.
+
+numpy reports its data allocations to tracemalloc, so these peaks repeat
+exactly from run to run. A whole second copy of the system or of the
+element matrices shows as about one more multiple: a long-double copy of
+the matrix is 2 of them, its |A| 1, and the (ne, m, m) element matrices of
+a Q2 assembly 1.3.
+"""
+
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from sltfem.assembly import (
+    AssemblyPlan,
+    FEField,
+    FESpace,
+    assemble_mechanical,
+    mechanical_dirichlet,
+    strains_at_qps,
+    thermal_load,
+)
+from sltfem.cli import scenario_config
+from sltfem.solver import Preconditioner, SolveReport, linear_solve, solve_thermal
+
+
+@pytest.fixture(scope="module")
+def plate():
+    """The 48x48 Q2 plate's tangent system at its b = 0 solution (a function
+    that assembles it), that solution, and the float32 factor of its b = 0
+    system."""
+    cfg = scenario_config("x", "constant", 48, 48, order=2)
+    p, bc = cfg.material(), cfg.mechanical_bc()
+    space = FESpace(cfg.build_mesh(), order=2, components=2)
+    theta = solve_thermal(FESpace(space.mesh, order=2), p, cfg.Q, cfg.thermal_bc())
+    plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
+    f = thermal_load(space, p, theta)
+    sys0, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc,
+                                  plan=plan, f=f)
+    precond = Preconditioner()
+    u = FEField(space, linear_solve(sys0, precond=precond))
+    eps = strains_at_qps(u)
+
+    def tangent():
+        return assemble_mechanical(space, p, theta, u, bc, plan=plan, f=f, tangent=True,
+                                   eps_prev=eps)[0]
+
+    return tangent, u, precond.lu
+
+
+def traced_peak(fn):
+    """fn's result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tangent_assembly_makes_no_element_matrix_array(plate):
+    tangent, _, _ = plate
+    sys, peak = traced_peak(tangent)
+    assert peak < 3.0 * sys.matrix.data.nbytes
+
+
+def test_tight_linear_solve_makes_no_copy_of_the_matrix(plate):
+    tangent, u, lu = plate
+    sys = tangent()
+    report = SolveReport()
+    x, peak = traced_peak(lambda: linear_solve(sys, report, x0=u.values,
+                                               precond=Preconditioner(lu), tol=1e-12))
+    assert report.factorizations == 0 and np.all(np.isfinite(x))
+    assert peak < 2.0 * sys.matrix.data.nbytes

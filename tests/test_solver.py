@@ -284,6 +284,61 @@ class TestLinearSolve:
         np.testing.assert_array_equal(x, linear_solve(sys))
 
 
+class TestCopyFreeSolvePath:
+    """The factor and the residual work on A's own arrays and give, bit for
+    bit, what they gave on whole-matrix copies."""
+
+    @staticmethod
+    def _symmetric_systems():
+        """The 8x8 plate's thermal and b = 0 systems, symmetric bit for bit."""
+        space, p, theta = cracked_setup(8)
+        thermal = assemble_thermal(FESpace(space.mesh, order=2), p, 100.0, ThermalBC(value=100.0))
+        b0, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space),
+                                    MechanicalBC())
+        return thermal, b0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_factor_of_the_csr_arrays_is_the_factor_of_the_csc(self, monkeypatch, dtype):
+        for sys in self._symmetric_systems():
+            A = sys.matrix.tocsr()
+            assert (A != A.T).nnz == 0
+            want = spla.splu(A.astype(dtype).tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+            def no_copy(*args, **kwargs):
+                raise AssertionError("_factor converted the matrix to CSC")
+
+            with monkeypatch.context() as m:
+                m.setattr(sp.csr_matrix, "tocsc", no_copy)
+                got = sltfem.solver._factor(A, dtype).lu
+            np.testing.assert_array_equal(got.perm_r, want.perm_r)
+            np.testing.assert_array_equal(got.perm_c, want.perm_c)
+            for g, w in ((got.L, want.L), (got.U, want.U)):
+                for attr in ("indptr", "indices", "data"):
+                    np.testing.assert_array_equal(getattr(g, attr), getattr(w, attr))
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_row_blocks_give_the_whole_matrix_residual_and_floor(self, monkeypatch, tol):
+        _, sys = self._symmetric_systems()
+        A, b = sys.matrix.tocsr(), sys.rhs
+        monkeypatch.setattr(sltfem.solver, "_ROW_BLOCK", 97)
+        assert A.shape[0] > 3 * 97 and A.shape[0] % 97
+        dtype = np.longdouble if tol < sltfem.solver._LONG_DOUBLE_BELOW else np.float64
+        A_w = sp.csr_matrix((A.data.astype(dtype), A.indices, A.indptr), shape=A.shape)
+        residual = sltfem.solver._Residual(A, b, tol)
+        x = linear_solve(sys)   # near the cancellation floor, where the precision shows
+        y = x + np.random.default_rng(0).normal(scale=1e-3, size=x.size)
+        for z in (x, y):
+            r_want = (b.astype(dtype) - A_w @ z.astype(dtype)).astype(np.float64)
+            floor_want = sltfem.solver._EPS * np.linalg.norm(abs(A) @ abs(z)) / np.linalg.norm(b)
+            r, res = residual(z)
+            np.testing.assert_array_equal(r, r_want)
+            assert res == np.linalg.norm(r_want) / np.linalg.norm(b)
+            assert residual.floor(z) == floor_want
+        # a floor at an x other than the last one's is computed afresh
+        assert residual.floor(x) == (sltfem.solver._EPS * np.linalg.norm(abs(A) @ abs(x))
+                                     / np.linalg.norm(b))
+
+
 class TestPicard:
     def test_b_zero_converges_immediately(self):
         space, p, theta = cracked_setup(4, b=0.0)
