@@ -25,8 +25,7 @@ from .solver import (  # noqa: F401 -- picard_solve stays in this namespace for 
     FEField,
     PicardConfig,
     SolveReport,
-    _b0_system,
-    _loaded_setup,
+    build_setup,
     newton_solve,
     picard_solve,
     solve_thermal,
@@ -139,6 +138,11 @@ def _validate(cfg: RunConfig, lines: dict[str, int] | None = None) -> RunConfig:
     for key, n in (("mesh.nx", cfg.nx), ("mesh.ny", cfg.ny)):
         if n < least:
             bad(key, f"{n} must be at least {least}" + (" on a cracked mesh" if cfg.crack else ""))
+    off = cfg.crack.misaligned(cfg.nx, cfg.ny) if cfg.crack else None
+    if off is not None:   # the crack key if the input sets it, else the mesh key
+        crack_key, mesh_key = {"y_line": ("mesh.crack_y", "mesh.ny"),
+                               "tip_x": ("mesh.crack_tip_x", "mesh.nx")}[off[0]]
+        bad(crack_key if crack_key in lines else mesh_key, off[1])
     if cfg.element_order not in (1, 2):
         bad("element_order", f"{cfg.element_order} must be 1 or 2")
     if cfg.thermal_kind not in ("constant", "parabolic"):
@@ -205,17 +209,19 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
         if attr == "crack":
             crack_on = parsed
         elif attr.startswith("crack."):
-            crack_extra[attr[len("crack."):]] = parsed
+            crack_extra[attr[len("crack."):]] = (parsed, key, lineno)
         else:
             fields[attr] = parsed
 
     if not crack_on:
         fields["crack"] = None
     elif crack_extra:
-        try:
-            fields["crack"] = CrackSpec(**crack_extra)
-        except ValueError as exc:
-            raise InvariantViolation("mesh.crack_*", 0, str(exc)) from exc
+        for name, (value, key, lineno) in crack_extra.items():
+            try:   # each of CrackSpec's checks reads one field
+                CrackSpec(**{name: value})
+            except ValueError as exc:
+                raise InvariantViolation(key, lineno, str(exc)) from exc
+        fields["crack"] = CrackSpec(**{name: v for name, (v, _, _) in crack_extra.items()})
 
     cfg = RunConfig(**fields)
     return _validate(cfg, lines={k: ln for k, (_, ln) in raw.items()})
@@ -267,40 +273,6 @@ class RunResult:
     fields: dict
 
 
-@dataclass
-class _Block:
-    """An open shared_setup() block: the set-up of its last solve, keyed by
-    its RunConfig with a and b neutralised; the solves solve_ahead started
-    and run_single has not taken yet, per config; the worker threads."""
-
-    setups: dict[RunConfig, solver._Setup] = field(default_factory=dict)
-    started: dict[RunConfig, deque[Future]] = field(default_factory=dict)
-    pool: ThreadPoolExecutor | None = None
-
-
-_block: ContextVar[_Block | None] = ContextVar("_block", default=None)
-
-
-@contextmanager
-def shared_setup():
-    """Within this block, run_single builds its set-up (mesh, spaces, thermal
-    solve, b = 0 start and factor) once and reuses it for each following
-    config that differs only in a and b. One entry is kept and dropped on
-    exit; a nested block joins the open one. The worker threads of
-    solve_ahead are shut down when the outermost block exits."""
-    if _block.get() is not None:
-        yield
-        return
-    block = _Block()
-    token = _block.set(block)
-    try:
-        yield
-    finally:
-        _block.reset(token)
-        if block.pool is not None:
-            block.pool.shutdown(cancel_futures=True)
-
-
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -308,86 +280,84 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+@dataclass
+class _Block:
+    """An open shared_setup() block: the set-up of its last solve, keyed by
+    its RunConfig with a and b neutralised; the started solves run_single
+    has not taken yet, per config; and the one pool, a thread per usable
+    core, that runs each set-up's thermal branch and every started solve."""
+
+    setups: dict[RunConfig, solver._Setup] = field(default_factory=dict)
+    started: dict[RunConfig, deque[Future]] = field(default_factory=dict)
+    pool: ThreadPoolExecutor = field(default_factory=lambda: ThreadPoolExecutor(
+        _usable_cores(), thread_name_prefix="sltfem"))
+
+
+_block: ContextVar[_Block | None] = ContextVar("_block", default=None)
+
+
 @contextmanager
-def solve_ahead(cfgs: list[RunConfig]):
-    """Within a shared_setup() block, opened here if none is, start the solve
-    of each of cfgs on the block's worker threads, one per usable core and
-    no more than len(cfgs), from the set-up built on this thread. The
-    workers share that set-up read-only, each solve with its own fresh()
-    factor holder; SuperLU may run on two of them at once, as scipy's
-    SuperLU releases the GIL and keeps its error state per thread. A
-    run_single of an equal config then takes one started solve, in order:
-    it returns its result or raises its exception. On exit, the solves not
-    taken are cancelled or waited for, and dropped."""
-    with shared_setup():
-        block = _block.get()
-        if block.pool is None:
-            block.pool = ThreadPoolExecutor(min(_usable_cores(), len(cfgs)),
-                                            thread_name_prefix="sltfem-solve")
-        futures = []
-        try:
-            for cfg in cfgs:
-                futures.append(block.pool.submit(_solve, cfg, _setup(cfg)))
-                block.started.setdefault(cfg, deque()).append(futures[-1])
-            yield
-        finally:
-            for future in futures:
-                future.cancel()
-            wait(futures)
-            for cfg in cfgs:
-                block.started.pop(cfg, None)
-
-
-def _thermal_branch(cfg: RunConfig, u_space: FESpace, p: MaterialParams
-                    ) -> tuple[FEField, np.ndarray]:
-    """The scalar space, the thermal solve on it, and the thermal load on u_space."""
-    space = FESpace(u_space.mesh, order=cfg.element_order, components=1)
-    theta = solve_thermal(space, p, Q_source=cfg.Q, bc=cfg.thermal_bc())
-    return theta, thermal_load(u_space, p, theta)
-
-
-def _build_setup(cfg: RunConfig) -> solver._Setup:
-    """The set-up of cfg. After the vector space is built, _thermal_branch
-    runs on a second thread while this one builds the b = 0 system and
-    factors it in float32, as theta enters it only through the load; so
-    SuperLU may run on both threads at once. After the join the system gets
-    the thermal load and is solved on that factor, or factored in float64
-    if it failed. A thermal error is raised first, as if the two ran in
-    sequence; no thread outlives the set-up."""
-    p = cfg.material()
-    u_space = FESpace(cfg.build_mesh(), order=cfg.element_order, components=2)
-    with ThreadPoolExecutor(1) as pool:
-        thermal = pool.submit(_thermal_branch, cfg, u_space, p)
-        try:
-            b0 = _b0_system(u_space, p, cfg.mechanical_bc())
-        except BaseException:
-            thermal.result()
-            raise
-        theta, f = thermal.result()
-    return _loaded_setup(u_space, p, theta, b0, f)
+def shared_setup(cfgs: list[RunConfig] = ()):
+    """Within this block, run_single builds its set-up (mesh, spaces, thermal
+    solve, b = 0 start and factor) once and reuses it for each following
+    config that differs only in a and b; a nested block joins the open one.
+    The solve of each of cfgs starts here on the block's pool, from the
+    set-up built on this thread, with its own fresh() factor holder (scipy's
+    SuperLU releases the GIL and keeps its error state per thread). A
+    run_single of an equal config then takes one started solve, in order,
+    and returns its result or raises its exception. On exit the solves not
+    taken are cancelled or waited for, and no thread outlives the outermost
+    block."""
+    block, token = _block.get(), None
+    if block is None:
+        block = _Block()
+        token = _block.set(block)
+    futures = []
+    try:
+        for cfg in cfgs:
+            futures.append(block.pool.submit(_solve, cfg, _setup(cfg)))
+            block.started.setdefault(cfg, deque()).append(futures[-1])
+        yield
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        for cfg in cfgs:
+            block.started.pop(cfg, None)
+        if token is not None:
+            _block.reset(token)
+            block.pool.shutdown(cancel_futures=True)
 
 
 def _setup(cfg: RunConfig) -> solver._Setup:
+    """The open block's set-up of cfg, built by build_setup if it has none,
+    with the thermal branch on the block's pool."""
     block = _block.get()
-    if block is None:
-        return _build_setup(cfg)
     shared, key = block.setups, replace(cfg, a=0.0, b=0.0)
     if key not in shared:
         shared.clear()
-        shared[key] = _build_setup(cfg)
+        p = cfg.material()
+        u_space = FESpace(cfg.build_mesh(), order=cfg.element_order, components=2)
+
+        def thermal_branch():
+            space = FESpace(u_space.mesh, order=cfg.element_order, components=1)
+            theta = solve_thermal(space, p, Q_source=cfg.Q, bc=cfg.thermal_bc())
+            return theta, thermal_load(u_space, p, theta)
+
+        shared[key] = build_setup(u_space, p, cfg.mechanical_bc(),
+                                  block.pool.submit(thermal_branch).result)
     return shared[key]
 
 
 def run_single(cfg: RunConfig) -> RunResult:
-    """Thermal solve, Newton mechanical solve, field recovery; the set-up is
-    shared within a shared_setup() block, and dropped on return outside one.
-    Within a block, a solve of an equal config started by solve_ahead is
-    taken instead of solving again."""
-    block = _block.get()
-    started = block.started.get(cfg) if block is not None else None
-    if started:
-        return started.popleft().result()
-    return _solve(cfg, _setup(cfg))
+    """Thermal solve, Newton mechanical solve, field recovery, in the open
+    shared_setup() block or one opened here: it takes a solve of an equal
+    config started there, or solves from the block's set-up."""
+    with shared_setup():
+        started = _block.get().started.get(cfg)
+        if started:
+            return started.popleft().result()
+        return _solve(cfg, _setup(cfg))
 
 
 def _solve(cfg: RunConfig, setup: solver._Setup) -> RunResult:

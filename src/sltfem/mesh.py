@@ -41,6 +41,17 @@ class CrackSpec:
         if not (0.0 < self.y_line < 1.0):
             raise ValueError(f"y_line={self.y_line} must lie strictly inside (0, 1)")
 
+    def misaligned(self, nx: int, ny: int) -> tuple[str, str] | None:
+        """The field of this crack (y_line or tip_x) that is not an interior
+        line of an nx x ny grid, and why; None if both are."""
+        for name, what, n, count in (("y_line", "line y", ny, "ny"),
+                                     ("tip_x", "tip x", nx, "nx")):
+            value = getattr(self, name)
+            i = value * n
+            if abs(i - round(i)) > 1e-12 or not (0 < round(i) < n):
+                return name, f"crack {what}={value} is not an interior mesh line for {count}={n}"
+        return None
+
 
 @dataclass
 class CrackedMesh:
@@ -114,15 +125,10 @@ def build_cracked_grid(nx: int, ny: int, crack: CrackSpec = CrackSpec()) -> Crac
     """
     if nx < 2 or ny < 2:
         raise ValueError("nx, ny must be >= 2 for a cracked grid")
-    jc = crack.y_line * ny
-    it = crack.tip_x * nx
-    if abs(jc - round(jc)) > 1e-12 or not (0 < round(jc) < ny):
-        raise MisalignedCrack(
-            f"crack line y={crack.y_line} is not an interior mesh line for ny={ny}")
-    if abs(it - round(it)) > 1e-12 or not (0 < round(it) < nx):
-        raise MisalignedCrack(
-            f"crack tip x={crack.tip_x} is not an interior mesh line for nx={nx}")
-    jc, it = int(round(jc)), int(round(it))
+    off = crack.misaligned(nx, ny)
+    if off is not None:
+        raise MisalignedCrack(off[1])
+    jc, it = round(crack.y_line * ny), round(crack.tip_x * nx)
 
     mesh = build_grid(nx, ny)
     ids = _grid_ids(nx, ny)

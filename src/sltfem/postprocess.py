@@ -132,13 +132,13 @@ def crack_opening_profile(u: FEField, mesh: CrackedMesh) -> list[tuple[float, fl
 def run_sweep(base_config, parameter: str, values) -> list["SweepRow"]:
     """One full solve per parameter value on the identical mesh.
 
-    config.solve_ahead builds the one set-up (mesh, spaces, theta, b = 0
-    start and factor) on this thread, inside a config.shared_setup() block,
-    and starts every value's solve from it on up to one worker thread per
-    core. Each value's result is then taken by config.run_single, looked up
-    per call, once per value in value order on this thread; a value's
-    exception is raised at its turn. Returns or raises only once every
-    started solve has finished or been cancelled.
+    config.shared_setup(cfgs) builds the one set-up (mesh, spaces, theta,
+    b = 0 start and factor) on this thread, its thermal branch on the
+    block's pool, and starts every value's solve from it on that pool, one
+    worker thread per usable core. Each value's result is then taken by
+    config.run_single, looked up per call, once per value in value order on
+    this thread; a value's exception is raised at its turn. Returns or
+    raises only once every started solve has finished or been cancelled.
     """
     from . import config  # deferred: config imports postprocess
 
@@ -149,7 +149,7 @@ def run_sweep(base_config, parameter: str, values) -> list["SweepRow"]:
         raise ValueError("sweep needs at least one value")
     cfgs = [replace(base_config, **{parameter: v}) for v in values]
     rows = []
-    with config.solve_ahead(cfgs):
+    with config.shared_setup(cfgs):
         for v, cfg in zip(values, cfgs):
             result = config.run_single(cfg)
             fields = result.fields

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
 
@@ -358,33 +359,31 @@ class _Setup:
                        precond=Preconditioner(self.precond.lu))
 
 
-def _b0_system(space: FESpace, p: MaterialParams, bc: MechanicalBC
-               ) -> tuple[AssemblyPlan, LinearSystem, Preconditioner]:
-    """The part of a set-up that needs no theta: the Dirichlet plan, the
-    b = 0 system without its thermal load, and its float32 factor, computed
-    ahead of the load (theta enters the system only there)."""
-    plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
-    p_lin = p if p.b == 0.0 else replace(p, b=0.0)
-    sys, _ = assemble_mechanical(space, p_lin, None, FEField.zero(space), bc, plan=plan)
+def build_setup(space: FESpace, p: MaterialParams, bc: MechanicalBC,
+                thermal: Callable[[], tuple[FEField | None, np.ndarray]]) -> _Setup:
+    """The set-up of a solve with the Dirichlet data bc, for any a and b;
+    thermal() returns theta and the load f. The plan and the b = 0 system
+    are built and factored in float32 before thermal() is called, as theta
+    enters only through the load: a thermal() waiting on another thread
+    overlaps that work. f is added on the free dofs (the same sum as a
+    system assembled with it), and the system is solved on that factor, or
+    in float64 if it failed. If the b = 0 part raises, thermal() is still
+    called first, so a thermal error wins. No thread is started here."""
     try:
-        lu = _factor(sys.matrix.tocsr(), np.float32)
-    except SolverBreakdown:
-        lu = None   # linear_solve factors in float64 instead
-    return plan, sys, Preconditioner(lu, ahead=True)
-
-
-def _loaded_setup(space: FESpace, p: MaterialParams, theta: FEField | None,
-                  b0: tuple[AssemblyPlan, LinearSystem, Preconditioner],
-                  f: np.ndarray | None = None) -> _Setup:
-    """The set-up from theta and a _b0_system, whose system gets the thermal
-    load f (by default computed here from theta) on its free dofs (the same
-    sum as a system assembled with it) and is solved on its factor."""
-    plan, sys, precond = b0
-    if f is None:
-        f = thermal_load(space, p, theta)
+        plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
+        p_lin = p if p.b == 0.0 else replace(p, b=0.0)
+        sys, _ = assemble_mechanical(space, p_lin, None, FEField.zero(space), bc, plan=plan)
+        try:
+            lu = _factor(sys.matrix.tocsr(), np.float32)
+        except SolverBreakdown:
+            lu = None   # linear_solve factors in float64 instead
+    except BaseException:
+        thermal()
+        raise
+    theta, f = thermal()
     free = ~plan.fixed
     sys.rhs[free] += f[free]
-    report = SolveReport()
+    report, precond = SolveReport(), Preconditioner(lu, ahead=True)
     u = FEField(space, linear_solve(sys, report, precond=precond))
     load = float(np.linalg.norm(sys.rhs[free]))
     return _Setup(theta, u, plan, f, load or 1.0, report, precond)
@@ -395,13 +394,14 @@ def picard_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
                  ) -> tuple[FEField, SolveReport]:
     """Fixed-point iteration on the Picard-linearized mechanical problem.
 
-    Starts from the b=0 linear solve; each step freezes the nonlinear
-    multiplier at the previous iterate. The factor of the b=0 system
-    preconditions CG on each later system, started from the previous iterate.
+    Starts from the b=0 linear solve of build_setup with theta's thermal
+    load; each step freezes the nonlinear multiplier at the previous iterate.
+    The factor of the b=0 system preconditions CG on each later system,
+    started from the previous iterate.
     The increment norm is the L2 norm of the displacement difference at the
     quadrature points (l2_norm). Non-convergence is reported, not raised.
     """
-    setup = _loaded_setup(space, p, theta, _b0_system(space, p, bc))
+    setup = build_setup(space, p, bc, lambda: (theta, thermal_load(space, p, theta)))
     report, u = setup.report, setup.u
     omega = cfg.damping
     for _ in range(cfg.max_iter):
@@ -489,9 +489,10 @@ def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
 
     Starts from the b=0 linear solve, scaled toward the Dirichlet lift by Pi
     and the strain limit (see _scaled_start; InadmissibleStrain if the b = 0
-    solution and the lift both violate the limit). A given start, a set-up
-    built by _loaded_setup for the same space, theta and bc with any a and
-    b, is used through a fresh() copy instead of building one. Each step solves the
+    solution and the lift both violate the limit). The set-up is built by
+    build_setup with theta's thermal load, or a given start (a build_setup
+    set-up for the same space and bc, any a and b, and any load) is used
+    through a fresh() copy. Each step solves the
     consistent-tangent system, CG preconditioned by the b=0 factor and
     started from the iterate, only as far as an inexact Newton step needs
     (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): to a
@@ -510,8 +511,8 @@ def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
     within 2 DELTA_GUARD of the strain limit: then the load has no solution
     the guarded law can carry, and InadmissibleStrain names where.
     """
-    setup = (_loaded_setup(space, p, theta, _b0_system(space, p, bc)) if start is None
-             else start.fresh())
+    setup = (build_setup(space, p, bc, lambda: (theta, thermal_load(space, p, theta)))
+             if start is None else start.fresh())
     report = setup.report
     u, energy, eps = _scaled_start(setup, p)
     eta, r_prev = 0.0, None

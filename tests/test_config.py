@@ -107,6 +107,13 @@ class TestErrors:
         ("mesh.crack_y = -inf\n", "mesh.crack_y"),
         ("sweep.values = 0.1, nan\n", "sweep.values"),
         ("sweep.parameter = b\nsweep.values = 0, inf\n", "sweep.values"),
+        # the crack geometry: CrackSpec's ranges, and the mesh lines it must lie on
+        ("mesh.nx = 4\nmesh.ny = 4\nmaterial.b = 0.01\nmesh.crack_tip_x = 1.5\n",
+         "mesh.crack_tip_x"),
+        ("mesh.crack_mouth = top\n", "mesh.crack_mouth"),
+        ("mesh.crack_y = 1\n", "mesh.crack_y"),
+        ("mesh.ny = 5\n", "mesh.ny"),
+        ("mesh.crack_y = 0.3\n", "mesh.crack_y"),
     ])
     def test_invariants_name_offending_key(self, text, key):
         with pytest.raises(InvariantViolation) as exc:

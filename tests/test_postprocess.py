@@ -224,6 +224,23 @@ class TestSharedSetUp:
             # a = 0.1 falls back to a fresh factor; the shared one still serves a = 0.5
             assert [r.report.factorizations for r in results] == [2, 1, 1]
 
+    def test_one_pool_per_block(self, monkeypatch):
+        threads = []   # the thread of the thermal branch and of each started solve
+        for name in ("solve_thermal", "_solve"):
+            def on_thread(*args, fn=getattr(sltfem.config, name), **kwargs):
+                threads.append(threading.current_thread())
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(sltfem.config, name, on_thread)
+        run_sweep(self.CFG, "b", (0.0, 0.01, 0.02))
+        assert len(threads) == 4
+        distinct = set(threads)
+        names = {t.name for t in distinct}
+        # one pool: its threads have distinct names with one prefix
+        assert len(names) == len(distinct) <= sltfem.config._usable_cores()
+        assert len({name.rsplit("_", 1)[0] for name in names}) == 1
+        assert threading.current_thread() not in distinct
+        assert not any(t.is_alive() for t in distinct)
+
     def test_set_up_is_dropped_after_the_sweep(self, fespace_builds):
         run_sweep(self.CFG, "b", (0.0, 0.02))
         assert len(fespace_builds) == 2
@@ -420,7 +437,7 @@ class TestThreadedSetUp:
 
         monkeypatch.setattr(sltfem.config, "solve_thermal", thermal)
         if mechanical_fails:
-            monkeypatch.setattr(sltfem.config, "_b0_system", mechanical)
+            monkeypatch.setattr(sltfem.solver, "mechanical_dirichlet", mechanical)
         threads = threading.active_count()
         with pytest.raises(SolverBreakdown) as raised:
             run_single(scenario_config("x", "constant", 4, 4))
@@ -430,7 +447,7 @@ class TestThreadedSetUp:
         threads = threading.active_count()
         run_single(scenario_config("x", "constant", 4, 4))
         assert threading.active_count() == threads
-        monkeypatch.setattr(sltfem.config, "_b0_system", lambda *args: 1 / 0)
+        monkeypatch.setattr(sltfem.solver, "mechanical_dirichlet", lambda *args: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             run_single(scenario_config("x", "constant", 4, 4))
         assert threading.active_count() == threads

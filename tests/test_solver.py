@@ -8,7 +8,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import sltfem.solver
-from sltfem import InadmissibleStrain, MaterialParams, SolverBreakdown, build_cracked_grid
+from sltfem import (
+    InadmissibleStrain,
+    MaterialParams,
+    SolverBreakdown,
+    build_cracked_grid,
+    build_grid,
+)
 from sltfem.assembly import (
     FEField,
     FESpace,
@@ -23,10 +29,12 @@ from sltfem.assembly import (
     thermal_load,
 )
 from sltfem.constitutive import stress_from_strain_m
+from sltfem.mesh import GAMMA1, GAMMA2, GAMMA4
 from sltfem.solver import (
     PicardConfig,
     Preconditioner,
     SolveReport,
+    build_setup,
     linear_solve,
     newton_solve,
     picard_solve,
@@ -438,6 +446,23 @@ class TestPicard:
         _, report = picard_solve(space, p, theta, MechanicalBC())
         assert report.converged
         assert report.factorizations == 1
+
+
+class TestBuildSetup:
+    def test_set_up_from_a_body_force(self):
+        """A set-up built from a load of its own, with no theta: a uniform
+        vertical body force on a square clamped on every side."""
+        space = FESpace(build_grid(4, 4), order=2, components=2)
+        p = make_params(alpha_T=0.0, b=0.5)
+        bc = MechanicalBC(extra={tag: (0.0, 0.0) for tag in (GAMMA1, GAMMA2, GAMMA4)})
+        weights = np.einsum("qa,eq->ea", space.N, space.detJxW)   # int N_a per element
+        f = np.bincount(space.vector_dofs(space.element_dofs)[..., 1].ravel(),
+                        weights=-weights.ravel(), minlength=space.n_dofs)
+        setup = build_setup(space, p, bc, lambda: (None, f))
+        assert setup.theta is None and setup.report.linear_solve_stats[0] <= 1e-12
+        for b, iterations in ((0.0, 1), (0.5, 4)):
+            u, report = newton_solve(space, replace(p, b=b), None, bc, start=setup)
+            assert report.converged and report.iterations == iterations
 
 
 class TestTangent:
