@@ -27,6 +27,7 @@ from .constitutive import (
 from .errors import (
     EmptyDirichlet,
     InadmissibleStrain,
+    InvalidParameter,
     InvariantViolation,
     MisalignedCrack,
     NotPositiveDefinite,

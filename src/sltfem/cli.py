@@ -16,7 +16,7 @@ from pathlib import Path
 from .config import RunConfig, RunResult, parse_config, run_single, shared_setup
 from .errors import SltfemError
 from .mesh import dump_mesh
-from .postprocess import run_sweep, write_csv, write_vtk
+from .postprocess import NodalField, crack_opening_profile, run_sweep, write_csv, write_vtk
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -54,8 +54,6 @@ def run(config: RunConfig, out=None) -> int:
     if config.vtk_path:
         fields = dict(result.fields)
         # include the primary solution fields alongside the recovered ones
-        from .postprocess import NodalField
-
         n = result.mesh.n_nodes
         fields["displacement"] = NodalField(
             result.mesh, result.u.values[: 2 * n].reshape(n, 2), "displacement")
@@ -63,12 +61,9 @@ def run(config: RunConfig, out=None) -> int:
             result.mesh, result.theta.values[:n], "temperature")
         write_vtk(fields, result.mesh, config.vtk_path)
         print(f"wrote {config.vtk_path}", file=out)
-    if config.csv_path:
-        from .postprocess import crack_opening_profile
-
-        if result.mesh.face_pairs:
-            write_csv(crack_opening_profile(result.u, result.mesh), config.csv_path)
-            print(f"wrote {config.csv_path}", file=out)
+    if config.csv_path and result.mesh.face_pairs:
+        write_csv(crack_opening_profile(result.u, result.mesh), config.csv_path)
+        print(f"wrote {config.csv_path}", file=out)
     return EXIT_OK if result.report.converged else EXIT_NOT_CONVERGED
 
 

@@ -19,7 +19,8 @@ import numpy as np
 from . import solver
 from .assembly import FESpace, MechanicalBC, ThermalBC, thermal_load
 from .constitutive import MaterialParams
-from .errors import InvariantViolation, TypeMismatch, UnknownKey
+from .errors import (InvalidParameter, InvariantViolation, NotPositiveDefinite, TypeMismatch,
+                     UnknownKey)
 from .mesh import CrackedMesh, CrackSpec, build_cracked_grid, build_grid
 from .solver import (  # noqa: F401 -- picard_solve stays in this namespace for wrappers
     FEField,
@@ -74,6 +75,9 @@ class RunConfig:
     def thermal_bc(self) -> ThermalBC:
         if self.thermal_kind == "constant":
             return ThermalBC(value=self.theta0)
+        if self.thermal_kind != "parabolic":
+            raise InvalidParameter("thermal_kind",
+                                   f"{self.thermal_kind!r} must be constant or parabolic")
         c = self.thermal_c
         return ThermalBC(value=lambda x, y: c * x * (1.0 - x))
 
@@ -128,54 +132,49 @@ _KEYS: dict[str, tuple[str, object]] = {
 }
 
 
+# RunConfig attribute -> key; each attribute is named as the field of the
+# type that owns it, so an InvalidParameter's field is an attribute here
+_KEY_OF = {attr: key for key, (attr, _) in _KEYS.items()}
+
+
 def _validate(cfg: RunConfig, lines: dict[str, int] | None = None) -> RunConfig:
+    """The rules of cfg that read two fields or the mesh; every range of one
+    field is checked by the type that owns it, and reported under its key."""
     lines = lines or {}
 
-    def bad(key, msg):
+    def bad(attr, msg):
+        key = _KEY_OF[attr]
         raise InvariantViolation(key, lines.get(key, 0), msg)
 
     least = 1 if cfg.crack is None else 2   # a cracked grid needs an interior line
-    for key, n in (("mesh.nx", cfg.nx), ("mesh.ny", cfg.ny)):
+    for attr, n in (("nx", cfg.nx), ("ny", cfg.ny)):
         if n < least:
-            bad(key, f"{n} must be at least {least}" + (" on a cracked mesh" if cfg.crack else ""))
+            bad(attr, f"{n} must be at least {least}" + (" on a cracked mesh" if cfg.crack else ""))
     off = cfg.crack.misaligned(cfg.nx, cfg.ny) if cfg.crack else None
     if off is not None:   # the crack key if the input sets it, else the mesh key
-        crack_key, mesh_key = {"y_line": ("mesh.crack_y", "mesh.ny"),
-                               "tip_x": ("mesh.crack_tip_x", "mesh.nx")}[off[0]]
-        bad(crack_key if crack_key in lines else mesh_key, off[1])
+        attr = "crack." + off[0]
+        if _KEY_OF[attr] not in lines:
+            attr = {"y_line": "ny", "tip_x": "nx"}[off[0]]
+        bad(attr, off[1])
     if cfg.element_order not in (1, 2):
         bad("element_order", f"{cfg.element_order} must be 1 or 2")
-    if cfg.thermal_kind not in ("constant", "parabolic"):
-        bad("thermal_bc.kind", f"{cfg.thermal_kind!r} must be constant or parabolic")
     if cfg.sweep_parameter not in (None, "a", "b"):
-        bad("sweep.parameter", f"{cfg.sweep_parameter!r} must be a or b")
-
-    def law_checks(c: RunConfig):   # the range of the strain-limiting law's a and b
-        return [("material.a", c.a > 0, f"a={c.a} must be positive"),
-                ("material.b", c.b >= 0, f"b={c.b} must be nonnegative")]
-
-    checks = [
-        ("material.mu", cfg.mu > 0, f"mu={cfg.mu} must be positive"),
-        *law_checks(cfg),
-        ("material.alpha_T", cfg.alpha_T >= 0, f"alpha_T={cfg.alpha_T} must be nonnegative"),
-        ("material.k", cfg.k > 0, f"k={cfg.k} must be positive"),
-        ("picard.tol", cfg.tol > 0, f"tol={cfg.tol} must be positive"),
-        ("picard.max_iter", cfg.max_iter >= 1, f"max_iter={cfg.max_iter} must be >= 1"),
-        ("picard.damping", 0 < cfg.damping <= 1, f"damping={cfg.damping} must lie in (0, 1]"),
-    ]
-    for key, ok, msg in checks:
-        if not ok:
-            bad(key, msg)
-    for v in cfg.sweep_values if cfg.sweep_parameter else ():
-        for _, ok, msg in law_checks(replace(cfg, **{cfg.sweep_parameter: v})):
-            if not ok:
-                bad("sweep.values", msg)
+        bad("sweep_parameter", f"{cfg.sweep_parameter!r} must be a or b")
     try:
-        cfg.material()   # SPD check of the stiffness
-    except Exception as exc:
+        p = cfg.material()
+        cfg.picard()
+        cfg.thermal_bc()
+    except InvalidParameter as exc:
+        bad(exc.field, str(exc))
+    except NotPositiveDefinite as exc:
         # 2 mu I + lam 1 (x) 1 has the eigenvalue 2 (mu + lam): with lam <= -mu
         # the isotropic part alone is indefinite, else the fiber term is to blame
-        bad("material.lambda" if cfg.lam <= -cfg.mu else "material.gamma", str(exc))
+        bad("lam" if cfg.lam <= -cfg.mu else "gamma", str(exc))
+    for v in cfg.sweep_values if cfg.sweep_parameter else ():
+        try:
+            replace(p, **{cfg.sweep_parameter: v})
+        except InvalidParameter as exc:
+            bad("sweep_values", str(exc))
     return cfg
 
 
@@ -194,8 +193,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
         raw[key] = (value, 0)
 
     fields: dict[str, object] = {}
-    crack_extra: dict[str, object] = {}
-    crack_on = True
+    crack: dict[str, object] = {}
     for key, (value, lineno) in raw.items():
         if key not in _KEYS:
             raise UnknownKey(key, lineno, "not a recognized configuration key")
@@ -206,25 +204,19 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
             raise TypeMismatch(key, lineno, str(exc)) from exc
         if parser in (float, _parse_values) and not np.all(np.isfinite(parsed)):
             raise InvariantViolation(key, lineno, f"{value} must be finite")
-        if attr == "crack":
-            crack_on = parsed
-        elif attr.startswith("crack."):
-            crack_extra[attr[len("crack."):]] = (parsed, key, lineno)
+        if attr.startswith("crack."):
+            crack[attr.removeprefix("crack.")] = parsed
         else:
             fields[attr] = parsed
 
-    if not crack_on:
-        fields["crack"] = None
-    elif crack_extra:
-        for name, (value, key, lineno) in crack_extra.items():
-            try:   # each of CrackSpec's checks reads one field
-                CrackSpec(**{name: value})
-            except ValueError as exc:
-                raise InvariantViolation(key, lineno, str(exc)) from exc
-        fields["crack"] = CrackSpec(**{name: v for name, (v, _, _) in crack_extra.items()})
-
-    cfg = RunConfig(**fields)
-    return _validate(cfg, lines={k: ln for k, (_, ln) in raw.items()})
+    lines = {k: ln for k, (_, ln) in raw.items()}
+    try:   # the crack keys are checked whether or not the crack is on
+        spec = CrackSpec(**crack)
+    except InvalidParameter as exc:
+        key = _KEY_OF["crack." + exc.field]
+        raise InvariantViolation(key, lines[key], str(exc)) from exc
+    fields["crack"] = spec if fields.get("crack", True) else None
+    return _validate(RunConfig(**fields), lines)
 
 
 _FORMAT = {
@@ -241,7 +233,7 @@ def _key_value(cfg: RunConfig, attr: str):
     if attr == "crack":
         return cfg.crack is not None
     if attr.startswith("crack."):
-        return None if cfg.crack is None else getattr(cfg.crack, attr[len("crack."):])
+        return None if cfg.crack is None else getattr(cfg.crack, attr.removeprefix("crack."))
     if attr == "sweep_values":
         return cfg.sweep_values or None
     return getattr(cfg, attr)

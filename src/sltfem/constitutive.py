@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import hyp2f1
 
-from .errors import InadmissibleStrain
+from .errors import InadmissibleStrain, InvalidParameter
 from .tensors import (
     Compliance3,
     Stiffness3,
@@ -49,15 +49,15 @@ class MaterialParams:
 
     def __post_init__(self):
         if self.mu <= 0.0:
-            raise ValueError(f"mu={self.mu} must be positive")
+            raise InvalidParameter("mu", f"mu={self.mu} must be positive")
         if self.a <= 0.0:
-            raise ValueError(f"a={self.a} must be positive")
+            raise InvalidParameter("a", f"a={self.a} must be positive")
         if self.b < 0.0:
-            raise ValueError(f"b={self.b} must be nonnegative")
+            raise InvalidParameter("b", f"b={self.b} must be nonnegative")
         if self.alpha_T < 0.0:
-            raise ValueError(f"alpha_T={self.alpha_T} must be nonnegative")
+            raise InvalidParameter("alpha_T", f"alpha_T={self.alpha_T} must be nonnegative")
         if self.k <= 0.0:
-            raise ValueError(f"k={self.k} must be positive")
+            raise InvalidParameter("k", f"k={self.k} must be positive")
         E = build_stiffness(self.lam, self.mu, self.gamma, self.fiber_angle)
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "K", build_compliance(E))

@@ -5,6 +5,15 @@ class SltfemError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidParameter(SltfemError, ValueError):
+    """A parameter lies outside the range of the type it configures; field
+    names that parameter."""
+
+    def __init__(self, field, message):
+        self.field = field
+        super().__init__(message)
+
+
 class NotPositiveDefinite(SltfemError):
     """A stiffness (or derived) matrix failed the SPD check."""
 

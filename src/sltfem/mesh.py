@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MisalignedCrack
+from .errors import InvalidParameter, MisalignedCrack
 
 # Facet tags
 GAMMA1 = "gamma1_bottom"
@@ -35,11 +35,13 @@ class CrackSpec:
 
     def __post_init__(self):
         if self.mouth_edge not in ("left", "right"):
-            raise ValueError(f"mouth_edge must be 'left' or 'right', got {self.mouth_edge!r}")
+            raise InvalidParameter("mouth_edge",
+                                   f"mouth_edge must be 'left' or 'right', got {self.mouth_edge!r}")
         if not (0.0 < self.tip_x < 1.0):
-            raise ValueError(f"tip_x={self.tip_x} must lie strictly inside (0, 1)")
+            raise InvalidParameter("tip_x", f"tip_x={self.tip_x} must lie strictly inside (0, 1)")
         if not (0.0 < self.y_line < 1.0):
-            raise ValueError(f"y_line={self.y_line} must lie strictly inside (0, 1)")
+            raise InvalidParameter("y_line",
+                                   f"y_line={self.y_line} must lie strictly inside (0, 1)")
 
     def misaligned(self, nx: int, ny: int) -> tuple[str, str] | None:
         """The field of this crack (y_line or tip_x) that is not an interior

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 from dataclasses import dataclass, replace
 
@@ -216,10 +217,7 @@ def write_csv(rows, path) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if rows and isinstance(rows[0], SweepRow):
-        header = ["parameter", "value", "max_stress_norm", "max_strain_norm",
-                  "max_principal_stress", "min_principal_stress",
-                  "max_principal_strain", "min_principal_strain",
-                  "converged", "iterations"]
+        header = [f.name for f in dataclasses.fields(SweepRow)]
         writer.writerow(header)
         for r in rows:
             writer.writerow([_fmt(getattr(r, h)) for h in header])

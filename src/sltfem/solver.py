@@ -27,7 +27,7 @@ from .assembly import (
     thermal_load,
 )
 from .constitutive import DELTA_GUARD, MaterialParams, strain_energy_density_m
-from .errors import InadmissibleStrain, SolverBreakdown
+from .errors import InadmissibleStrain, InvalidParameter, SolverBreakdown
 from .tensors import energy_norm_m
 
 _RESIDUAL_TOL = 1e-12
@@ -66,11 +66,11 @@ class PicardConfig:
 
     def __post_init__(self):
         if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+            raise InvalidParameter("tol", f"tol={self.tol} must be positive")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise InvalidParameter("max_iter", f"max_iter={self.max_iter} must be >= 1")
         if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
+            raise InvalidParameter("damping", f"damping={self.damping} must lie in (0, 1]")
 
 
 @dataclass
@@ -133,7 +133,8 @@ class _Residual:
     a looser one in float64 (Carson & Higham, SIAM J. Sci. Comput. 40, 2018):
     no long-double or |A| copy of A is made, and each row is summed in the
     order of a whole-matrix product. x None stands for zero, where the
-    residual is b and the floor 0, exactly."""
+    residual is b and the floor 0, exactly. A call returns r = b - A x, its
+    relative norm and the floor."""
 
     def __init__(self, A: sp.csr_matrix, b: np.ndarray, tol: float = _RESIDUAL_TOL):
         self.A = A
@@ -141,11 +142,10 @@ class _Residual:
         self.scale = bnorm if bnorm > 0 else 1.0
         self.b = b
         self.extended = tol < _LONG_DOUBLE_BELOW
-        self._floor = (None, 0.0)   # the last x passed and the floor there
 
-    def __call__(self, x: np.ndarray | None) -> tuple[np.ndarray, float]:
+    def __call__(self, x: np.ndarray | None) -> tuple[np.ndarray, float, float]:
         if x is None:
-            return self.b.copy(), np.linalg.norm(self.b) / self.scale
+            return self.b.copy(), np.linalg.norm(self.b) / self.scale, 0.0
         A, n = self.A, self.A.shape[0]
         if self.extended:
             x_ld, r = x.astype(np.longdouble), np.empty(n)
@@ -164,17 +164,8 @@ class _Residual:
                 r[lo:hi] = self.b[lo:hi] - block @ x_ld
         # A rounded double vector cannot beat the cancellation floor
         # eps * || |A| |x| || / ||b||, however ill-conditioned the mesh.
-        self._floor = (x, _EPS * np.linalg.norm(abs_Ax) / self.scale)
-        return r, np.linalg.norm(r) / self.scale
-
-    def floor(self, x: np.ndarray | None) -> float:
-        """The floor at x, from the pass of the last call at x (made here if
-        the last call was at another x)."""
-        if x is None:
-            return 0.0
-        if self._floor[0] is not x:
-            self(x)
-        return self._floor[1]
+        return (r, np.linalg.norm(r) / self.scale,
+                _EPS * np.linalg.norm(abs_Ax) / self.scale)
 
 
 def _meets_contract(res: float, floor: float, tol: float = _RESIDUAL_TOL) -> bool:
@@ -214,8 +205,7 @@ def _preconditioned_cg(A: sp.csr_matrix, x: np.ndarray | None, lu,
     contracting at its mean rate so far, would miss it. SolverBreakdown is
     raised if the first triangular solve of a pass is not finite.
     """
-    r, res = residual(x)
-    floor = residual.floor(x)
+    r, res, floor = residual(x)
     if x is None:
         x = np.zeros_like(r)
     iterations = 0
@@ -248,11 +238,10 @@ def _preconditioned_cg(A: sp.csr_matrix, x: np.ndarray | None, lu,
             iterations += 1
             rz, rz_prev = r @ z, rz
             p = z + (rz / rz_prev) * p
-        r, new_res = residual(y)
+        r, new_res, new_floor = residual(y)
         if not new_res < res:
             return None, res, iterations
-        x, res = y, new_res
-        floor = residual.floor(x)
+        x, res, floor = y, new_res, new_floor
 
 
 def linear_solve(sys: LinearSystem, report: SolveReport | None = None,

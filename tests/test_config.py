@@ -89,11 +89,15 @@ class TestErrors:
         ("element_order = 3\n", "element_order"),
         ("thermal_bc.kind = cubic\n", "thermal_bc.kind"),
         ("material.mu = -2\n", "material.mu"),
+        ("material.a = 0\n", "material.a"),
+        ("material.alpha_T = -1\n", "material.alpha_T"),
+        ("material.k = 0\n", "material.k"),
         # lambda <= -mu: the isotropic part alone is indefinite
         ("material.gamma = 0\nmaterial.lambda = -1.2\n", "material.lambda"),
         ("material.lambda = -5\n", "material.lambda"),
         ("material.gamma = -5\n", "material.gamma"),
         ("picard.tol = 0\n", "picard.tol"),
+        ("picard.max_iter = 0\n", "picard.max_iter"),
         ("picard.damping = 2\n", "picard.damping"),
         ("sweep.parameter = k\n", "sweep.parameter"),
         ("sweep.parameter = b\nsweep.values = 0, -0.1\n", "sweep.values"),
@@ -114,12 +118,24 @@ class TestErrors:
         ("mesh.crack_y = 1\n", "mesh.crack_y"),
         ("mesh.ny = 5\n", "mesh.ny"),
         ("mesh.crack_y = 0.3\n", "mesh.crack_y"),
+        # the crack geometry is checked even with the crack off
+        ("mesh.crack = false\nmesh.crack_tip_x = 1.5\n", "mesh.crack_tip_x"),
+        ("mesh.crack = false\nmesh.crack_mouth = top\n", "mesh.crack_mouth"),
     ])
     def test_invariants_name_offending_key(self, text, key):
         with pytest.raises(InvariantViolation) as exc:
             parse_config(text)
         assert key in str(exc.value)
         assert exc.value.line == text.count("\n")   # the offending key is on the last line
+
+    def test_valid_crack_keys_ignored_with_the_crack_off(self):
+        cfg = parse_config("mesh.crack = false\nmesh.crack_tip_x = 0.25\n"
+                           "mesh.crack_mouth = right\n")
+        assert cfg.crack is None
+
+    def test_api_thermal_kind_checked(self):
+        with pytest.raises(ValueError, match="'cubic' must be constant or parabolic"):
+            RunConfig(thermal_kind="cubic").thermal_bc()
 
     def test_uncracked_mesh_may_be_one_element_wide(self):
         cfg = parse_config("mesh.crack = false\nmesh.nx = 1\n")
@@ -217,13 +233,38 @@ class TestSerializeGolden:
             "picard.damping = 1\n")
 
 
-def test_readme_key_table_matches_keys():
+def _readme_key_table():
+    """The keys and the default cell of each row of README's key table."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    listed = []
     for line in readme.splitlines():
         if line.startswith("| `"):
-            listed += re.findall(r"`([^`]+)`", line.split("|")[1])
+            cells = line.split("|")
+            yield re.findall(r"`([^`]+)`", cells[1]), cells[2].strip()
+
+
+def test_readme_key_table_matches_keys():
+    listed = [key for keys, _ in _readme_key_table() for key in keys]
     assert sorted(listed) == sorted(_KEYS)
+
+
+def test_readme_key_table_defaults_match_serialized_defaults():
+    # an omitted key is "none" in the table; a row of several keys lists one
+    # default per key, or one "none" for all
+    serialized = dict(line.split(" = ", 1) for line in serialize_config(RunConfig()).splitlines())
+
+    def same(listed, want):
+        try:
+            return float(listed) == float(want)
+        except ValueError:
+            return listed == want
+
+    for keys, cell in _readme_key_table():
+        defaults = [v.strip() for v in cell.split(",")]
+        if defaults == ["none"]:
+            defaults *= len(keys)
+        assert len(defaults) == len(keys), keys
+        for key, listed in zip(keys, defaults):
+            assert same(listed, serialized.get(key, "none")), (key, listed)
 
 
 class TestRunSingle:
