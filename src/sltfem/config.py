@@ -22,7 +22,7 @@ from .constitutive import MaterialParams
 from .errors import (InvalidParameter, InvariantViolation, NotPositiveDefinite, TypeMismatch,
                      UnknownKey)
 from .mesh import CrackedMesh, CrackSpec, build_cracked_grid, build_grid
-from .solver import (  # noqa: F401 -- picard_solve stays in this namespace for wrappers
+from .solver import (  # noqa: F401 -- perfbench/tracing.py patches config.picard_solve
     FEField,
     PicardConfig,
     SolveReport,

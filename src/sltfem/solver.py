@@ -32,11 +32,8 @@ from .tensors import energy_norm_m
 
 _RESIDUAL_TOL = 1e-12
 _EPS = np.finfo(np.float64).eps
-# Targets below this get a long-double residual; a double product only fails
-# a target near the cancellation floor, at most 4.1e-12 on the 64^2 plate.
-_LONG_DOUBLE_BELOW = 1e-9
-# Rows per block of a residual pass: a block's long-double and |A| entries
-# are all the pass allocates beyond its vectors.
+# Rows per block of the floor's |A| |x| product: a block's |A| entries are
+# all the pass allocates beyond its vectors.
 _ROW_BLOCK = 4096
 # Preconditioned CG iterations a held factor gets per linear solve before the
 # system is factored afresh; one factorization costs 15 to 25 of them.
@@ -77,9 +74,8 @@ class PicardConfig:
 class SolveReport:
     """Nonlinear iteration history: per iteration, the L2 increment and, for
     Newton, the nonlinear residual at its iterate relative to the internal
-    force (residuals); per linear solve, the relative residual of its
-    solution (linear_solve_stats: taken in long double for a target below
-    1e-9, in float64 for a looser one) and its triangular solves beyond one
+    force (residuals); per linear solve, the float64 relative residual of
+    its solution (linear_solve_stats) and its triangular solves beyond one
     per factorization (refine_steps: preconditioned CG iterations); the
     number of SuperLU factorizations (factorizations)."""
 
@@ -126,42 +122,30 @@ class _Factor:
 
 
 class _Residual:
-    """Relative residual of A x = b, which each CG pass restarts from, and the
-    cancellation floor under it, both taken in one pass over blocks of
-    _ROW_BLOCK rows. For a target tol below _LONG_DOUBLE_BELOW the product is
-    taken in extended precision, one block's entries cast at a time, and for
-    a looser one in float64 (Carson & Higham, SIAM J. Sci. Comput. 40, 2018):
-    no long-double or |A| copy of A is made, and each row is summed in the
-    order of a whole-matrix product. x None stands for zero, where the
-    residual is b and the floor 0, exactly. A call returns r = b - A x, its
-    relative norm and the floor."""
+    """Relative residual of A x = b in float64, which each CG pass restarts
+    from, and the cancellation floor under it. The floor's |A| |x| is taken
+    over blocks of _ROW_BLOCK rows, so no |A| copy of A is made. x None
+    stands for zero, where the residual is b and the floor 0, exactly. A
+    call returns r = b - A x, its relative norm and the floor."""
 
-    def __init__(self, A: sp.csr_matrix, b: np.ndarray, tol: float = _RESIDUAL_TOL):
+    def __init__(self, A: sp.csr_matrix, b: np.ndarray):
         self.A = A
         bnorm = np.linalg.norm(b)
         self.scale = bnorm if bnorm > 0 else 1.0
         self.b = b
-        self.extended = tol < _LONG_DOUBLE_BELOW
 
     def __call__(self, x: np.ndarray | None) -> tuple[np.ndarray, float, float]:
         if x is None:
             return self.b.copy(), np.linalg.norm(self.b) / self.scale, 0.0
         A, n = self.A, self.A.shape[0]
-        if self.extended:
-            x_ld, r = x.astype(np.longdouble), np.empty(n)
-        else:
-            r = self.b - A @ x
+        r = self.b - A @ x
         x_abs, abs_Ax = np.abs(x), np.empty(n)
         for lo in range(0, n, _ROW_BLOCK):
             hi = min(lo + _ROW_BLOCK, n)
             start, stop = A.indptr[lo], A.indptr[hi]
-            data = A.data[start:stop]
-            block = sp.csr_matrix((np.abs(data), A.indices[start:stop],
+            block = sp.csr_matrix((np.abs(A.data[start:stop]), A.indices[start:stop],
                                    A.indptr[lo:hi + 1] - start), shape=(hi - lo, n))
             abs_Ax[lo:hi] = block @ x_abs   # rows lo:hi of |A| |x|
-            if self.extended:
-                block.data = data.astype(np.longdouble)   # rows lo:hi of A
-                r[lo:hi] = self.b[lo:hi] - block @ x_ld
         # A rounded double vector cannot beat the cancellation floor
         # eps * || |A| |x| || / ||b||, however ill-conditioned the mesh.
         return (r, np.linalg.norm(r) / self.scale,
@@ -252,31 +236,29 @@ def linear_solve(sys: LinearSystem, report: SolveReport | None = None,
 
     The system is solved by conjugate gradients preconditioned by a SuperLU
     factor, ordered by minimum degree on A + A^T, in passes restarted from
-    the true residual. For a tol below 1e-9 (_LONG_DOUBLE_BELOW) that
-    residual is taken in extended precision, as the plain double residual
-    can stall just above such a tolerance through cancellation; a looser
-    tol, such as an early Newton system's, gets the float64 residual. Either
-    is taken with its cancellation floor over blocks of rows (_Residual),
-    and a factor is computed from A's own CSR arrays (_factor): neither
-    copies the matrix. A factor only has to precondition, so a fresh one is
-    computed in float32: CG restarted from the true residual recovers full
-    accuracy (Carson & Higham, SIAM J. Sci. Comput. 40, 2018; Langou et al.,
-    SC 2006). With a factor held in precond, CG starts from x0 (default
-    zero), and x0 is returned unchanged if it already meets the contract.
-    Without one, or if CG on the held one misses within _CG_BUDGET
-    iterations, the held factor is dropped, the system is factored afresh
-    and CG starts from zero; the fresh factor is held in precond, if given. A float32 factor of this
-    system computed ahead (Preconditioner.ahead) is taken as the fresh
-    float32 factorization. If the float32 factorization fails, its
-    triangular solve is not finite or its CG misses, the system is factored
-    again in float64. A returned x has a relative residual of at most tol or
-    10x the cancellation floor; otherwise SolverBreakdown is raised. A given
-    report gets the residual of the returned x, the triangular solves beyond
-    one per factorization, and each factorization, one computed ahead
-    included.
+    the true residual. That residual is taken in float64, with the
+    cancellation floor eps || |A| |x| || / ||b|| under it (_Residual): the
+    contract admits 10x the floor, which covers the cancellation a double
+    product can stall on. A factor is computed from A's own CSR arrays
+    (_factor), and neither copies the matrix. A factor only has to
+    precondition, so a fresh one is computed in float32: CG restarted from
+    the true residual recovers full accuracy (Carson & Higham, SIAM J. Sci.
+    Comput. 40, 2018; Langou et al., SC 2006). With a factor held in
+    precond, CG starts from x0 (default zero), and x0 is returned unchanged
+    if it already meets the contract. Without one, or if CG on the held one
+    misses within _CG_BUDGET iterations, the held factor is dropped, the
+    system is factored afresh and CG starts from zero; the fresh factor is
+    held in precond, if given. A float32 factor of this system computed
+    ahead (Preconditioner.ahead) is taken as the fresh float32
+    factorization. If the float32 factorization fails, its triangular solve
+    is not finite or its CG misses, the system is factored again in
+    float64. A returned x has a relative residual of at most tol or 10x the
+    cancellation floor; otherwise SolverBreakdown is raised. A given report
+    gets the residual of the returned x, the triangular solves beyond one
+    per factorization, and each factorization, one computed ahead included.
     """
     A = sys.matrix.tocsr()
-    residual = _Residual(A, sys.rhs, tol)
+    residual = _Residual(A, sys.rhs)
     x, steps = None, 0
     ahead = precond is not None and precond.ahead
     if ahead:

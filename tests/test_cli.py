@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from sltfem.cli import (
+    A_SWEEP,
+    B_SWEEP,
     EXIT_ERROR,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
@@ -46,9 +48,12 @@ class TestSolveCommand:
         assert code == EXIT_OK
 
     def test_invalid_key_exits_error(self, capsys):
-        code = main(["solve", "--mesh.nz", "4"])
-        assert code == EXIT_ERROR
-        assert "error:" in capsys.readouterr().err
+        for key, value in (("mesh.nz", "4"), ("mesh.crack", "maybe")):
+            code = main(["solve", f"--{key}", value])
+            assert code == EXIT_ERROR
+            assert capsys.readouterr().err.startswith(f"error: line 0: key '{key}'")
+        with pytest.raises(SystemExit, match="missing value for '--mesh.nx'"):
+            main(["solve", "--mesh.nx"])
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "mesh-dump"])
     def test_cracked_mesh_below_2_exits_error(self, command, capsys):
@@ -65,6 +70,14 @@ class TestSolveCommand:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.splitlines() == [
             f"error: line 0: key '{key}': {value} must be finite"]
+
+    def test_solve_error_exits_error_saying_where(self, capsys):
+        # the b = 0 start of this opening breaks the strain limit
+        code = main(["solve", "--mesh.nx", "8", "--mesh.ny", "8", "--material.b", "0.5",
+                     "--mechanical_bc.top_uy", "3"])
+        assert code == EXIT_ERROR
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "(x, y) = (" in line
 
     def test_not_converged_exit_code(self, capsys):
         code = main(["solve", "--mesh.nx", "4", "--mesh.ny", "4",
@@ -149,14 +162,16 @@ class TestMeshDumpCommand:
 
 class TestReproductionSuite:
     def test_grid_shape_and_artifacts(self, tmp_path, capsys):
-        report = run_reproduction_suite(out_dir=tmp_path, nx=4, ny=4, order=1)
-        assert len(report) == 8
-        for cell, entry in report.items():
-            csv = tmp_path / f"{cell}.csv"
-            assert csv.exists()
-            n_lines = len(csv.read_text().splitlines())
-            assert n_lines == len(entry["rows"]) + 1
-            assert all(r.converged for r in entry["rows"])
+        code = main(["reproduce", "--out", str(tmp_path), "--nx", "4", "--ny", "4",
+                     "--order", "1"])
+        assert code == EXIT_OK   # every cell's strain trend holds
+        assert "8/8 cells pass" in capsys.readouterr().out
+        csvs = sorted(tmp_path.glob("*.csv"))
+        assert len(csvs) == 8
+        for csv in csvs:
+            header, *rows = (line.split(",") for line in csv.read_text().splitlines())
+            assert len(rows) == len(B_SWEEP if csv.stem.endswith("_b_sweep") else A_SWEEP)
+            assert all(row[header.index("converged")] == "1" for row in rows)
 
     @pytest.mark.parametrize("flag", ["--nx", "--ny"])
     def test_grid_below_2_is_a_usage_error(self, flag, tmp_path, capsys):

@@ -3,9 +3,9 @@ the tangent's float64 data.
 
 numpy reports its data allocations to tracemalloc, so these peaks repeat
 exactly from run to run. A whole second copy of the system or of the
-element matrices shows as about one more multiple: a long-double copy of
-the matrix is 2 of them, its |A| 1, and the (ne, m, m) element matrices of
-a Q2 assembly 1.3.
+element matrices shows as about one more multiple: a copy of the
+matrix's data is 1 of them, as is its |A|, and the (ne, m, m) element
+matrices of a Q2 assembly 1.3.
 """
 
 import tracemalloc

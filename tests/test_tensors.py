@@ -76,6 +76,10 @@ class TestBuildStiffness:
             build_stiffness(lam=1.0, mu=1.0, gamma=-10.0)
         with pytest.raises(NotPositiveDefinite):
             build_stiffness(lam=1.0, mu=-1.0, gamma=0.0)
+        # mu = 0 leaves a rounding-sized smallest eigenvalue (+5.4e-14) that
+        # the eigenvalue test alone accepts; the mu check rejects it.
+        with pytest.raises(NotPositiveDefinite, match="mu=0.0"):
+            build_stiffness(lam=1e-3, mu=0.0, gamma=1e3, fiber_angle=0.7)
 
     def test_fiber_angle_rotation(self):
         # m = e2: structural Mandel vector is (0, 1, 0)
