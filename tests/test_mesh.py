@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -108,10 +110,22 @@ class TestBuildCrackedGrid:
         np.testing.assert_allclose(mesh.nodes[upper_nodes][:, 1], 0.5)
         np.testing.assert_allclose(mesh.nodes[lower_nodes][:, 1], 0.5)
 
-    def test_every_boundary_facet_tagged_once(self):
-        mesh = build_cracked_grid(4, 4)
-        # 4 outer facets per side plus 2 facets per crack face
-        assert len(mesh.facet_tags) == 16 + 4
+    @pytest.mark.parametrize("nx, ny, crack", [
+        (4, 4, CrackSpec()),
+        (4, 4, CrackSpec(mouth_edge="right")),
+        (8, 4, CrackSpec(tip_x=0.75)),
+        (8, 8, CrackSpec(mouth_edge="right", tip_x=0.25, y_line=0.25)),
+        (6, 4, CrackSpec(tip_x=1 / 6, y_line=0.75)),
+    ], ids=["left", "right", "left-tip0.75", "right-off-centre", "left-off-centre"])
+    def test_every_boundary_facet_tagged_once(self, nx, ny, crack):
+        mesh = build_cracked_grid(nx, ny, crack)
+        # the tagged facets are the counter-clockwise element edges with no
+        # reversed twin, i.e. the edges of one element only
+        edges = {(int(a), int(b)) for conn in mesh.elements
+                 for a, b in zip(conn, np.roll(conn, -1))}
+        assert set(mesh.facet_tags) == {(a, b) for a, b in edges if (b, a) not in edges}
+        # 2 (nx + ny) outer facets, plus one per cracked column on each crack face
+        assert len(mesh.facet_tags) == 2 * (nx + ny) + 2 * len(mesh.face_pairs)
         for tag in mesh.facet_tags.values():
             assert tag in ALL_TAGS
 
@@ -137,6 +151,32 @@ class TestRefineUniform:
         fine = refine_uniform(build_cracked_grid(4, 4))
         space = FESpace(fine, order=1)
         assert np.all(space.detJxW > 0)
+
+
+# sha256 of dump_mesh text, face_pairs and tip_node: pins the node and
+# element numbering, the facet orientation and the mouth-to-tip pair order.
+MESH_DIGESTS = [
+    ((3, 5, None), "e0ccd32455779d5c34a2627f0e131248e214ee13cc989b92a69281405c91140d"),
+    ((4, 4, CrackSpec()), "f1f7afdb7e829b6a1f56bcbee01d35ddb0fc48c0ad3c3427698c18764e7f5f33"),
+    ((8, 4, CrackSpec(tip_x=0.75)),
+     "eb5364d0d1551b3725a0983aadc0b5d375c92c995d2fb704a1334a237ddcedcc"),
+    ((4, 4, CrackSpec(mouth_edge="right")),
+     "f5b21388383f58d732601a17f308aee9b12c498f32f0e4aa88c8505d12dfa8ce"),
+    ((8, 8, CrackSpec(mouth_edge="right", tip_x=0.25, y_line=0.25)),
+     "26cc79a18de8856d432cbcc2fa0f834f7d2d94b89e11890cd5264ebb4fa310da"),
+    ((6, 4, CrackSpec(tip_x=1 / 6, y_line=0.75)),
+     "5fac67f014dc98c7b6de5c42b595c24d27e237f3d24f406521d773b4dbe0d830"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", MESH_DIGESTS,
+                         ids=["3x5-uncracked", "4x4-left", "8x4-left-tip0.75", "4x4-right",
+                              "8x8-right-tip0.25-line0.25", "6x4-left-tip1of6-line0.75"])
+def test_mesh_numbering_pinned(spec, digest):
+    nx, ny, crack = spec
+    mesh = build_grid(nx, ny) if crack is None else build_cracked_grid(nx, ny, crack)
+    text = dump_mesh(mesh) + f"face_pairs {mesh.face_pairs}\ntip_node {mesh.tip_node}\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDumpMesh:
