@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, RunResult, parse_config, run_single, shared_setup
-from .errors import SltfemError
+from .errors import SltfemError, TypeMismatch
 from .mesh import dump_mesh
 from .postprocess import NodalField, crack_opening_profile, run_sweep, write_csv, write_vtk
 
@@ -168,8 +168,8 @@ def _split_overrides(argv: list[str]) -> tuple[list[str], dict[str, str]]:
     while i < len(argv):
         tok = argv[i]
         if tok.startswith("--") and tok not in known and tok != "--help":
-            if i + 1 >= len(argv):
-                raise SystemExit(f"missing value for {tok!r}")
+            if i + 1 >= len(argv) or argv[i + 1].startswith("--"):
+                raise TypeMismatch(tok[2:], 0, "missing value")
             pairs[tok[2:]] = argv[i + 1]
             i += 2
         else:
@@ -205,15 +205,13 @@ def main(argv: list[str] | None = None) -> int:
     p_dump = sub.add_parser("mesh-dump", help="print the mesh as plain text")
     p_dump.add_argument("config", nargs="?")
 
-    if argv is None:
-        argv = sys.argv[1:]
-    argv, overrides = _split_overrides(list(argv))
-    args = parser.parse_args(argv)
-    if args.command == "reproduce" and overrides:
-        parser.error(f"unrecognized arguments: {' '.join('--' + k for k in overrides)}")
-    if args.command == "reproduce" and min(args.nx, args.ny) < 2:
-        p_rep.error("--nx and --ny must be at least 2 on a cracked mesh")
     try:
+        argv, overrides = _split_overrides(list(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(argv)
+        if args.command == "reproduce" and overrides:
+            parser.error(f"unrecognized arguments: {' '.join('--' + k for k in overrides)}")
+        if args.command == "reproduce" and min(args.nx, args.ny) < 2:
+            p_rep.error("--nx and --ny must be at least 2 on a cracked mesh")
         if args.command == "solve":
             cfg = _load_config(args.config, overrides)
             return run(cfg)
@@ -238,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _load_config(args.config, overrides)
             sys.stdout.write(dump_mesh(cfg.build_mesh()))
             return EXIT_OK
-    except SltfemError as exc:
+    except (SltfemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_ERROR

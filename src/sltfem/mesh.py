@@ -84,39 +84,40 @@ class CrackedMesh:
         return [f for f, t in self.facet_tags.items() if t == tag]
 
     def nodes_with_tag(self, tag: str) -> np.ndarray:
-        ids = set()
-        for f, t in self.facet_tags.items():
-            if t == tag:
-                ids.update(f)
-        return np.array(sorted(ids), dtype=int)
+        return np.unique(np.array(self.facets_with_tag(tag), dtype=int))
 
 
-def _grid_ids(nx: int, ny: int) -> np.ndarray:
-    return np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
+def _grid(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the (nx+1) x (ny+1) grid, row by row from the bottom, and
+    its counterclockwise quads as an (ny, nx, 4) array of node ids."""
+    X, Y = np.meshgrid(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
+    ids = np.arange(X.size).reshape(X.shape)
+    quads = np.stack([ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]], axis=-1)
+    return np.column_stack([X.ravel(), Y.ravel()]), quads
+
+
+def _tag_edges(tags: dict, quads: np.ndarray, k: int, tag: str) -> None:
+    """Tag edge k (corner k to corner k+1, in element-boundary orientation)
+    of each quad in quads."""
+    edges = quads[..., [k, (k + 1) % 4]].reshape(-1, 2).tolist()
+    tags.update(dict.fromkeys(map(tuple, edges), tag))
+
+
+def _outer_tags(quads: np.ndarray) -> dict[tuple[int, int], str]:
+    tags = {}
+    for tag, side, k in ((GAMMA1, quads[0], 0), (GAMMA2, quads[:, -1], 1),
+                         (GAMMA3, quads[-1], 2), (GAMMA4, quads[:, 0], 3)):
+        _tag_edges(tags, side, k, tag)
+    return tags
 
 
 def build_grid(nx: int, ny: int) -> CrackedMesh:
     """Uncracked structured grid on the unit square."""
     if nx < 1 or ny < 1:
         raise ValueError("nx, ny must be >= 1")
-    xs = np.linspace(0.0, 1.0, nx + 1)
-    ys = np.linspace(0.0, 1.0, ny + 1)
-    X, Y = np.meshgrid(xs, ys)
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-    ids = _grid_ids(nx, ny)
-    elems = []
-    for j in range(ny):
-        for i in range(nx):
-            elems.append([ids[j, i], ids[j, i + 1], ids[j + 1, i + 1], ids[j + 1, i]])
-    elements = np.array(elems, dtype=int)
-    tags = {}
-    for i in range(nx):
-        tags[(ids[0, i], ids[0, i + 1])] = GAMMA1
-        tags[(ids[ny, i + 1], ids[ny, i])] = GAMMA3
-    for j in range(ny):
-        tags[(ids[j, nx], ids[j + 1, nx])] = GAMMA2
-        tags[(ids[j + 1, 0], ids[j, 0])] = GAMMA4
-    return CrackedMesh(nodes=nodes, elements=elements, facet_tags=tags, nx=nx, ny=ny)
+    nodes, quads = _grid(nx, ny)
+    return CrackedMesh(nodes=nodes, elements=quads.reshape(-1, 4),
+                       facet_tags=_outer_tags(quads), nx=nx, ny=ny)
 
 
 def build_cracked_grid(nx: int, ny: int, crack: CrackSpec = CrackSpec()) -> CrackedMesh:
@@ -132,63 +133,29 @@ def build_cracked_grid(nx: int, ny: int, crack: CrackSpec = CrackSpec()) -> Crac
         raise MisalignedCrack(off[1])
     jc, it = round(crack.y_line * ny), round(crack.tip_x * nx)
 
-    mesh = build_grid(nx, ny)
-    ids = _grid_ids(nx, ny)
-    if crack.mouth_edge == "left":
-        crack_cols = list(range(0, it))           # duplicated columns
-        elem_cols = list(range(0, it))            # elements whose edge lies on the crack
-    else:
-        crack_cols = list(range(it + 1, nx + 1))
-        elem_cols = list(range(it, nx))
+    nodes, quads = _grid(nx, ny)
+    line = jc * (nx + 1) + np.arange(nx + 1)       # crack-line node ids, x increasing
+    left = crack.mouth_edge == "left"
+    # columns of the quads along the crack, and their crack-line nodes but the tip
+    cols, upper = (np.s_[:it], line[:it]) if left else (np.s_[it:], line[it + 1:])
+    # The original node serves the upper face, its copy (appended) the lower:
+    # the row below the crack takes the copies as its top corners, and the
+    # facets read off the rewired quads (the mouth one too) follow.
+    remap = np.arange(len(nodes))
+    remap[upper] = len(nodes) + np.arange(upper.size)
+    quads[jc - 1, :, 2:] = remap[quads[jc - 1, :, 2:]]
 
-    nodes = mesh.nodes
-    elements = mesh.elements.copy()
-    # Original node serves the upper face; the appended duplicate the lower.
-    dup_of = {}
-    new_nodes = []
-    for i in crack_cols:
-        nid = int(ids[jc, i])
-        dup_of[nid] = nodes.shape[0] + len(new_nodes)
-        new_nodes.append(nodes[nid])
-    nodes = np.vstack([nodes, np.array(new_nodes)])
-
-    # Rewire elements strictly below the crack line onto the duplicates.
-    for i in elem_cols:
-        e = (jc - 1) * nx + i
-        for loc in (2, 3):  # top corners of a below-crack element
-            nid = int(elements[e, loc])
-            if nid in dup_of:
-                elements[e, loc] = dup_of[nid]
-
-    tags = dict(mesh.facet_tags)
-    # Crack-face facets, oriented as element boundary edges.
-    for i in elem_cols:
-        upper = (int(ids[jc, i]), int(ids[jc, i + 1]))          # bottom edge of above element
-        lo_a = dup_of.get(upper[0], upper[0])
-        lo_b = dup_of.get(upper[1], upper[1])
-        tags[upper] = GAMMA_C_UPPER
-        tags[(lo_b, lo_a)] = GAMMA_C_LOWER
-    # Outer-boundary facets adjacent to the mouth must reference the rewired ids.
-    if crack.mouth_edge == "left":
-        mouth = int(ids[jc, 0])
-        old = (int(ids[jc, 0]), int(ids[jc - 1, 0]))
-        tags[(dup_of[mouth], old[1])] = tags.pop(old)
-    else:
-        mouth = int(ids[jc, nx])
-        old = (int(ids[jc - 1, nx]), int(ids[jc, nx]))
-        tags[(old[0], dup_of[mouth])] = tags.pop(old)
-
-    face_pairs = [(int(ids[jc, i]), dup_of[int(ids[jc, i])]) for i in crack_cols]
-    # Order mouth -> tip.
-    if crack.mouth_edge == "right":
-        face_pairs = face_pairs[::-1]
+    tags = _outer_tags(quads)
+    _tag_edges(tags, quads[jc, cols], 0, GAMMA_C_UPPER)
+    _tag_edges(tags, quads[jc - 1, cols], 2, GAMMA_C_LOWER)
+    face_pairs = list(zip(upper.tolist(), remap[upper].tolist()))
 
     return CrackedMesh(
-        nodes=nodes,
-        elements=elements,
+        nodes=np.vstack([nodes, nodes[upper]]),
+        elements=quads.reshape(-1, 4),
         facet_tags=tags,
-        tip_node=int(ids[jc, it]),
-        face_pairs=face_pairs,
+        tip_node=int(line[it]),
+        face_pairs=face_pairs if left else face_pairs[::-1],   # mouth -> tip
         nx=nx,
         ny=ny,
         crack=crack,

@@ -52,8 +52,20 @@ class TestSolveCommand:
             code = main(["solve", f"--{key}", value])
             assert code == EXIT_ERROR
             assert capsys.readouterr().err.startswith(f"error: line 0: key '{key}'")
-        with pytest.raises(SystemExit, match="missing value for '--mesh.nx'"):
-            main(["solve", "--mesh.nx"])
+        # an override with no value, last or followed by another override
+        for argv in (["solve", "--mesh.nx"], ["solve", "--mesh.nx", "--mesh.ny", "4"]):
+            assert main(argv) == EXIT_ERROR
+            assert capsys.readouterr().err.splitlines() == [
+                "error: line 0: key 'mesh.nx': missing value"]
+
+    def test_unreadable_file_exits_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        for argv in (["solve", str(missing / "run.cfg")],
+                     ["solve", "--mesh.nx", "2", "--mesh.ny", "2", "--material.b", "0",
+                      "--outputs.vtk_path", str(missing / "x.vtk")]):
+            assert main(argv) == EXIT_ERROR
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: ") and str(missing) in line
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "mesh-dump"])
     def test_cracked_mesh_below_2_exits_error(self, command, capsys):
