@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from sltfem.assembly import (
     thermal_dirichlet,
     _row_pointer,
 )
-from sltfem.mesh import GAMMA1, GAMMA3
+from sltfem.mesh import GAMMA1, GAMMA2, GAMMA3, GAMMA4
 from sltfem.solver import linear_solve, solve_thermal
 
 from reference_geometry import bilinear_geometry, graded_cracked_grid
@@ -171,6 +172,47 @@ class TestQ2EdgeNumbering:
         elem_dofs, coords = loop_q2_numbering(mesh)
         np.testing.assert_array_equal(space.element_dofs, elem_dofs)
         np.testing.assert_array_equal(space.dof_coords, coords)
+
+
+def dirichlet_plan(space, bc):
+    """The plan of a space's system under a thermal or mechanical BC."""
+    if isinstance(bc, ThermalBC):
+        return AssemblyPlan(space, 1, thermal_dirichlet(space, bc))
+    return AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
+
+
+# sha256 of the fixed dofs (int64) and the lift (float64) of a plan: pins which
+# dofs a BC fixes, to what value, and which tag wins at a shared corner.
+DIRICHLET_DIGESTS = [
+    ((lambda: build_cracked_grid(8, 8), 2, MechanicalBC()),
+     "662948a3eb3d273a0f1ccb3456b68fc104477d34b6816a7881bd8804353d3195"),
+    ((lambda: build_cracked_grid(8, 8), 2, MechanicalBC(top_uy=0.2)),
+     "54f7d7acef40f928c69b8e38c3b9474b156d13e3cfad2aae906dc253541d8dcd"),
+    ((lambda: build_cracked_grid(6, 4, CrackSpec(mouth_edge="right")), 1,
+      MechanicalBC(top_uy=-0.1, extra={GAMMA2: (0.05, None), GAMMA4: (None, 0.3)})),
+     "2cf1008e9c1290841b4127a6dbb8c4df30d196ad4d5665506a4b545963147eb9"),
+    ((lambda: build_grid(4, 4), 2,
+      MechanicalBC(extra={GAMMA1: (lambda x, y: x, 0.0), GAMMA2: (0.0, lambda x, y: y * y),
+                          GAMMA4: (0.0, 0.0)})),
+     "6ec009922035b72895be4d3533d78335fe4f48f303d0020323aa9ef5e2a31537"),
+    ((lambda: build_cracked_grid(8, 8), 2, ThermalBC(value=lambda x, y: 400.0 * x * (1.0 - x))),
+     "b57867ed27c6d5813ea9159775221667e068d3483470eaf24c298053586af38a"),
+    ((lambda: build_grid(5, 3), 1, ThermalBC(value=7.5, tag=GAMMA3)),
+     "86e5c8307a43d0647471986ea5b9889a75d5aebe8a739778b2e9ea99affdc30a"),
+]
+
+
+@pytest.mark.parametrize("case, digest", DIRICHLET_DIGESTS,
+                         ids=["8x8-q2-default", "8x8-q2-top0.2", "6x4-q1-right-extra",
+                              "4x4-q2-callables", "8x8-q2-thermal-parabolic",
+                              "5x3-q1-thermal-top"])
+def test_dirichlet_data_pinned(case, digest):
+    make_mesh, order, bc = case
+    space = FESpace(make_mesh(), order=order,
+                    components=1 if isinstance(bc, ThermalBC) else 2)
+    plan = dirichlet_plan(space, bc)
+    data = np.flatnonzero(plan.fixed).tobytes() + plan.lift.tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestThermalAssembly:
