@@ -214,14 +214,14 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class ThermalBC:
-    """Dirichlet temperature on the bottom boundary; zero flux elsewhere.
-
-    value is a constant or a callable (x, y) -> theta evaluated at dof
-    coordinates of the tagged boundary.
-    """
+    """Dirichlet temperature on the tagged boundary (bottom by default), zero
+    flux elsewhere; value is a constant or a callable (x, y) -> theta."""
 
     value: object = 100.0
     tag: str = GAMMA1
+
+    def component_values(self) -> dict[str, tuple]:
+        return {self.tag: (self.value,)}
 
 
 @dataclass(frozen=True)
@@ -235,15 +235,14 @@ class MechanicalBC:
     extra: dict = field(default_factory=dict)
 
     def component_values(self) -> dict[str, tuple]:
-        spec = {GAMMA3: (0.0, self.top_uy), GAMMA1: (None, 0.0)}
-        spec.update(self.extra)
-        return spec
+        return {GAMMA3: (0.0, self.top_uy), GAMMA1: (None, 0.0), **self.extra}
 
 
-def _evaluate_bc(value, coords: np.ndarray) -> np.ndarray:
+def _evaluate(value, xy: np.ndarray) -> np.ndarray | float:
+    """A constant, or a callable of (x, y) at the points xy, shape (..., 2)."""
     if callable(value):
-        return np.array([float(value(x, y)) for x, y in coords])
-    return np.full(coords.shape[0], float(value))
+        return np.vectorize(value, otypes=[float])(xy[..., 0], xy[..., 1])
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +255,20 @@ class AssemblyPlan:
     Element matrices, given in blocks of consecutive elements, are summed
     into the CSR data through a scatter index, in the order a COO-to-CSR
     conversion sums them, so the blocks never have to exist at once. The
-    pattern is sorted from the scalar (row, col) keys. Given Dirichlet data,
-    it is the pattern left by symmetric elimination: a fixed row or column
-    keeps only its unit diagonal, and the scatter sends each element entry
-    in a fixed row or column to one slot past the end, which is discarded. A
-    plan is tied to its space and boundary data: build it in the solve that
-    uses it, to be freed with it.
+    pattern is sorted from the scalar (row, col) keys. A plan given a
+    ThermalBC or MechanicalBC alone decides the Dirichlet data: in the order
+    of bc.component_values(), so a later tag wins at a shared corner, each
+    value that is not None fixes component c of the tag's scalar dofs d (dof
+    block d + c) in fixed and lift; a bc that fixes no dof raises
+    EmptyDirichlet. The pattern is then the one left by symmetric
+    elimination: a fixed row or column keeps only its unit diagonal, and the
+    scatter sends each element entry in a fixed row or column to one slot
+    past the end, which is discarded. A plan is tied to its space and
+    boundary data: build it in the solve that uses it, to be freed with it.
     """
 
     def __init__(self, space: FESpace, block: int,
-                 dirichlet: dict[int, float] | None = None):
+                 bc: ThermalBC | MechanicalBC | None = None):
         ed = space.element_dofs
         ne, m = ed.shape
         ns = space.n_scalar_dofs
@@ -275,11 +278,14 @@ class AssemblyPlan:
         self.n = n = block * ns
         self.fixed = np.zeros(n, dtype=bool)
         self.lift = np.zeros(n)
-        if dirichlet is not None:
-            if not dirichlet:
-                raise EmptyDirichlet("no Dirichlet degrees of freedom; system is singular")
-            self.fixed[list(dirichlet)] = True
-            self.lift[list(dirichlet)] = list(dirichlet.values())
+        for tag, comps in (bc.component_values() if bc is not None else {}).items():
+            sdofs = space.boundary_scalar_dofs(tag)
+            for comp, value in enumerate(comps):
+                if value is not None:
+                    self.fixed[block * sdofs + comp] = True
+                    self.lift[block * sdofs + comp] = _evaluate(value, space.dof_coords[sdofs])
+        if bc is not None and not self.fixed.any():
+            raise EmptyDirichlet(f"no Dirichlet dofs on {', '.join(bc.component_values())}")
         self.dofs = (block * ed[..., None] + np.arange(block)).reshape(ne, -1)
         # Scalar entry (r, c) stands for entries (block r + i, block c + j). A
         # fixed row holds only its diagonal; the free rows block r + i hold the
@@ -347,14 +353,6 @@ def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
 # Thermal problem
 
 
-def thermal_dirichlet(space: FESpace, bc: ThermalBC) -> dict[int, float]:
-    dofs = space.boundary_scalar_dofs(bc.tag)
-    if dofs.size == 0:
-        raise EmptyDirichlet(f"no boundary dofs tagged {bc.tag}")
-    vals = _evaluate_bc(bc.value, space.dof_coords[dofs])
-    return {int(d): float(v) for d, v in zip(dofs, vals)}
-
-
 def assemble_thermal(space: FESpace, p: MaterialParams, Q_source=0.0,
                      bc: ThermalBC = ThermalBC()) -> LinearSystem:
     """Steady heat conduction: K_ij = int k grad(phi_i).grad(phi_j), f_i = int Q phi_i.
@@ -372,12 +370,10 @@ def assemble_thermal(space: FESpace, p: MaterialParams, Q_source=0.0,
     quantum = np.ldexp(1.0, np.frexp(abs(k_local).max(axis=(1, 2)))[1] - 50)[:, None, None]
     k_local = np.round(k_local / quantum) * quantum
     k_local[(slice(None), *np.diag_indices(k_local.shape[1]))] -= k_local.sum(axis=2)
-    Qq = (np.vectorize(Q_source)(space.qp_xy[..., 0], space.qp_xy[..., 1])
-          if callable(Q_source) else float(Q_source))
-    f_local = (Qq * space.detJxW) @ space.N
+    f_local = (_evaluate(Q_source, space.qp_xy) * space.detJxW) @ space.N
     f = np.bincount(space.element_dofs.ravel(), weights=f_local.ravel(),
                     minlength=space.n_scalar_dofs)
-    return AssemblyPlan(space, 1, thermal_dirichlet(space, bc)).system([k_local], f)
+    return AssemblyPlan(space, 1, bc).system([k_local], f)
 
 
 def _gradients(field: FEField) -> np.ndarray:
@@ -414,21 +410,6 @@ def strains_at_qps(u: FEField) -> np.ndarray:
     return np.stack([g[..., 0, 0], g[..., 1, 1], (g[..., 0, 1] + g[..., 1, 0]) / SQRT2], axis=-1)
 
 
-def mechanical_dirichlet(space: FESpace, bc: MechanicalBC) -> dict[int, float]:
-    dirichlet: dict[int, float] = {}
-    for tag, comps in bc.component_values().items():
-        sdofs = space.boundary_scalar_dofs(tag)
-        for comp, value in enumerate(comps):
-            if value is None:
-                continue
-            vals = _evaluate_bc(value, space.dof_coords[sdofs])
-            for d, v in zip(sdofs, vals):
-                dirichlet[int(2 * d + comp)] = float(v)
-    if not dirichlet:
-        raise EmptyDirichlet("mechanical problem needs displacement Dirichlet data")
-    return dirichlet
-
-
 def thermal_load(space: FESpace, p: MaterialParams, theta: FEField | None) -> np.ndarray:
     """Thermal-gradient body force f_i = -alpha int grad(theta) . v_i, before elimination."""
     if theta is None:
@@ -458,14 +439,14 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
     reference-gradient products (as in MILAMIN: Dabrowski, Krotkiewski &
     Schmid, G^3 9, 2008), and are scattered into the plan's CSR data, and
     into K lift, before the next block is formed. A solve that assembles
-    repeatedly passes plan = AssemblyPlan(space, 2, mechanical_dirichlet(space,
-    bc)) and f = thermal_load(space, p, theta), built once, and may pass
+    repeatedly passes plan = AssemblyPlan(space, 2, bc) and f =
+    thermal_load(space, p, theta), built once, and may pass
     strains_at_qps(u_prev) as eps_prev.
     """
     if space.components != 2:
         raise ValueError("mechanical problem needs a 2-vector space")
     if plan is None:
-        plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
+        plan = AssemblyPlan(space, 2, bc)
     if f is None:
         f = thermal_load(space, p, theta)
 

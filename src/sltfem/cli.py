@@ -145,7 +145,10 @@ def run_reproduction_suite(out_dir="reproduction", nx: int = 32, ny: int = 32,
 
 
 def _load_config(path: str | None, overrides: dict[str, str]) -> RunConfig:
-    text = Path(path).read_text() if path else ""
+    try:
+        text = Path(path).read_text(encoding="utf-8") if path else ""
+    except UnicodeDecodeError as exc:
+        raise SltfemError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return parse_config(text, overrides=overrides)
 
 

@@ -22,7 +22,6 @@ from .assembly import (
     assemble_thermal,
     l2_norm,
     mass_matrix,  # noqa: F401 -- stays in this namespace for perfbench/tracing.py
-    mechanical_dirichlet,
     strains_at_qps,
     thermal_load,
 )
@@ -341,7 +340,7 @@ def build_setup(space: FESpace, p: MaterialParams, bc: MechanicalBC,
     in float64 if it failed. If the b = 0 part raises, thermal() is still
     called first, so a thermal error wins. No thread is started here."""
     try:
-        plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
+        plan = AssemblyPlan(space, 2, bc)
         p_lin = p if p.b == 0.0 else replace(p, b=0.0)
         sys, _ = assemble_mechanical(space, p_lin, None, FEField.zero(space), bc, plan=plan)
         try:

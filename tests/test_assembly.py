@@ -19,11 +19,9 @@ from sltfem.assembly import (
     gauss_points,
     l2_norm,
     mass_matrix,
-    mechanical_dirichlet,
     scalar_gradients,
     shape_functions,
     strains_at_qps,
-    thermal_dirichlet,
     _row_pointer,
 )
 from sltfem.mesh import GAMMA1, GAMMA2, GAMMA3, GAMMA4
@@ -174,11 +172,10 @@ class TestQ2EdgeNumbering:
         np.testing.assert_array_equal(space.dof_coords, coords)
 
 
-def dirichlet_plan(space, bc):
-    """The plan of a space's system under a thermal or mechanical BC."""
-    if isinstance(bc, ThermalBC):
-        return AssemblyPlan(space, 1, thermal_dirichlet(space, bc))
-    return AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
+def dirichlet_of(plan):
+    """{dof: value} of a plan's Dirichlet data."""
+    fixed = np.flatnonzero(plan.fixed)
+    return dict(zip(fixed.tolist(), plan.lift[fixed].tolist()))
 
 
 # sha256 of the fixed dofs (int64) and the lift (float64) of a plan: pins which
@@ -210,7 +207,7 @@ def test_dirichlet_data_pinned(case, digest):
     make_mesh, order, bc = case
     space = FESpace(make_mesh(), order=order,
                     components=1 if isinstance(bc, ThermalBC) else 2)
-    plan = dirichlet_plan(space, bc)
+    plan = AssemblyPlan(space, space.components, bc)
     data = np.flatnonzero(plan.fixed).tobytes() + plan.lift.tobytes()
     assert hashlib.sha256(data).hexdigest() == digest
 
@@ -256,7 +253,7 @@ class TestThermalAssembly:
 
     def test_empty_dirichlet_raises(self):
         space = FESpace(build_grid(4, 4), order=1)
-        with pytest.raises(EmptyDirichlet):
+        with pytest.raises(EmptyDirichlet, match="^no Dirichlet dofs on nonsense$"):
             assemble_thermal(space, make_params(), 0.0, ThermalBC(value=1.0, tag="nonsense"))
 
     def test_rejects_vector_space(self):
@@ -345,8 +342,7 @@ class TestMechanicalAssembly:
                                          FEField.zero(space), bc)
         diff = abs(sys_nl.matrix - phi * sys_lin.matrix).max()
         # Dirichlet diagonals stay at 1 in both, so compare off-eliminated rows
-        free = sorted(set(range(space.n_dofs))
-                      - set(mechanical_dirichlet(space, bc)))
+        free = np.flatnonzero(~AssemblyPlan(space, 2, bc).fixed)
         sub_nl = sys_nl.matrix[np.ix_(free, free)].toarray()
         sub_lin = sys_lin.matrix[np.ix_(free, free)].toarray()
         np.testing.assert_allclose(sub_nl, phi * sub_lin, rtol=1e-12)
@@ -356,7 +352,7 @@ class TestMechanicalAssembly:
     def test_empty_dirichlet_raises(self):
         space = FESpace(build_grid(4, 4), order=1, components=2)
         bc = MechanicalBC(extra={GAMMA1: (None, None), GAMMA3: (None, None)})
-        with pytest.raises(EmptyDirichlet):
+        with pytest.raises(EmptyDirichlet, match=f"^no Dirichlet dofs on {GAMMA3}, {GAMMA1}$"):
             assemble_mechanical(space, make_params(), None, FEField.zero(space), bc)
 
     def test_galerkin_residual_below_solver_tolerance(self):
@@ -500,7 +496,7 @@ class TestAssemblyPlan:
         f = np.zeros(space.n_dofs)
         np.add.at(f, space.element_dofs.ravel(), f_local.ravel())
         K_ref, f_ref = eliminate_oracle(coo_matrix_oracle(space, k_local, 1), f,
-                                        thermal_dirichlet(space, bc))
+                                        dirichlet_of(AssemblyPlan(space, 1, bc)))
         assert_close_rel(sys.matrix.toarray(), K_ref)
         assert_close_rel(sys.rhs, f_ref)
 
@@ -530,7 +526,7 @@ class TestAssemblyPlan:
         f = np.zeros(space.n_dofs)
         np.add.at(f, space.vector_dofs(space.element_dofs).ravel(), f_local.ravel())
         K_ref, f_ref = eliminate_oracle(coo_matrix_oracle(space, k_local, 2), f,
-                                        mechanical_dirichlet(space, bc))
+                                        dirichlet_of(AssemblyPlan(space, 2, bc)))
         assert_close_rel(sys.matrix.toarray(), K_ref)
         assert_close_rel(sys.rhs, f_ref)
 
@@ -579,7 +575,7 @@ class TestAssemblyPlan:
         np.add.at(f, vdofs, f_local.ravel())
         K = coo_matrix_oracle(space, k_local, 2)
         K_ref, rhs_ref = eliminate_oracle(K, f - f_int + K @ u_ld,
-                                          mechanical_dirichlet(space, bc))
+                                          dirichlet_of(AssemblyPlan(space, 2, bc)))
         assert_close_rel(sys.matrix.toarray(), K_ref)
         assert_close_rel(sys.internal_force, f_int)
         # The load f - F_int + K u_prev cancels its larger terms, so either side
@@ -599,10 +595,11 @@ class TestAssemblyPlan:
         space = FESpace(build_cracked_grid(n, n), order=order, components=2)
         m = 2 * space.element_dofs.shape[1]
         k_local = np.random.default_rng(n).normal(size=(space.mesh.n_elements, m, m))
-        for dirichlet in (None, mechanical_dirichlet(space, MechanicalBC(top_uy=0.1))):
-            plan = AssemblyPlan(space, 2, dirichlet)
+        for bc in (None, MechanicalBC(top_uy=0.1)):
+            plan = AssemblyPlan(space, 2, bc)
+            dirichlet = dirichlet_of(plan)
             scatter, pattern, unit_diagonal = sorted_key_plan(space, dirichlet)
-            assert unit_diagonal.size == len(dirichlet or ())
+            assert unit_diagonal.size == len(dirichlet)
             for got, want in [(plan.scatter, scatter), *zip(plan.pattern, pattern),
                               (plan.unit_diagonal, unit_diagonal)]:
                 assert got.dtype == want.dtype
@@ -651,9 +648,9 @@ class TestAssemblyPlan:
         bc = MechanicalBC(top_uy=0.1)
         systems = [
             (assemble_thermal(theta_space, p, 100.0, ThermalBC()),
-             thermal_dirichlet(theta_space, ThermalBC())),
+             dirichlet_of(AssemblyPlan(theta_space, 1, ThermalBC()))),
             (assemble_mechanical(space, p, None, FEField.zero(space), bc)[0],
-             mechanical_dirichlet(space, bc)),
+             dirichlet_of(AssemblyPlan(space, 2, bc))),
         ]
         for sys, dirichlet in systems:
             dofs = np.fromiter(dirichlet, dtype=int)

@@ -68,6 +68,14 @@ class TestSolveCommand:
             assert line.startswith("error: ") and str(missing) in line
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "mesh-dump"])
+    def test_config_file_not_utf8_exits_error(self, command, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_bytes(bytes(range(0x80, 0x100)))
+        assert main([command, str(cfgfile)]) == EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfgfile}: not UTF-8 text (invalid start byte at byte 0)"]
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "mesh-dump"])
     def test_cracked_mesh_below_2_exits_error(self, command, capsys):
         code = main([command, "--mesh.nx", "1"])
         assert code == EXIT_ERROR

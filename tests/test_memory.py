@@ -19,7 +19,6 @@ from sltfem.assembly import (
     FEField,
     FESpace,
     assemble_mechanical,
-    mechanical_dirichlet,
     strains_at_qps,
     thermal_load,
 )
@@ -36,7 +35,7 @@ def plate():
     p, bc = cfg.material(), cfg.mechanical_bc()
     space = FESpace(cfg.build_mesh(), order=2, components=2)
     theta = solve_thermal(FESpace(space.mesh, order=2), p, cfg.Q, cfg.thermal_bc())
-    plan = AssemblyPlan(space, 2, mechanical_dirichlet(space, bc))
+    plan = AssemblyPlan(space, 2, bc)
     f = thermal_load(space, p, theta)
     sys0, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc,
                                   plan=plan, f=f)

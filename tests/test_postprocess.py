@@ -437,7 +437,7 @@ class TestThreadedSetUp:
 
         monkeypatch.setattr(sltfem.config, "solve_thermal", thermal)
         if mechanical_fails:
-            monkeypatch.setattr(sltfem.solver, "mechanical_dirichlet", mechanical)
+            monkeypatch.setattr(sltfem.solver, "AssemblyPlan", mechanical)
         threads = threading.active_count()
         with pytest.raises(SolverBreakdown) as raised:
             run_single(scenario_config("x", "constant", 4, 4))
@@ -447,7 +447,7 @@ class TestThreadedSetUp:
         threads = threading.active_count()
         run_single(scenario_config("x", "constant", 4, 4))
         assert threading.active_count() == threads
-        monkeypatch.setattr(sltfem.solver, "mechanical_dirichlet", lambda *args: 1 / 0)
+        monkeypatch.setattr(sltfem.solver, "AssemblyPlan", lambda *args: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             run_single(scenario_config("x", "constant", 4, 4))
         assert threading.active_count() == threads

@@ -16,6 +16,7 @@ from sltfem import (
     build_grid,
 )
 from sltfem.assembly import (
+    AssemblyPlan,
     FEField,
     FESpace,
     LinearSystem,
@@ -24,7 +25,6 @@ from sltfem.assembly import (
     assemble_mechanical,
     assemble_thermal,
     l2_norm,
-    mechanical_dirichlet,
     strains_at_qps,
     thermal_load,
 )
@@ -75,8 +75,7 @@ def internal_force(u, p):
 def free_residual(u, p, theta, bc):
     """f - F_int(u) on the free dofs, and the free-dof mask."""
     space = u.space
-    free = np.ones(space.n_dofs, dtype=bool)
-    free[list(mechanical_dirichlet(space, bc))] = False
+    free = ~AssemblyPlan(space, 2, bc).fixed
     return (thermal_load(space, p, theta) - internal_force(u, p))[free], free
 
 
