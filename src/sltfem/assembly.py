@@ -259,12 +259,13 @@ class AssemblyPlan:
     ThermalBC or MechanicalBC alone decides the Dirichlet data: in the order
     of bc.component_values(), so a later tag wins at a shared corner, each
     value that is not None fixes component c of the tag's scalar dofs d (dof
-    block d + c) in fixed and lift; a bc that fixes no dof raises
-    EmptyDirichlet. The pattern is then the one left by symmetric
-    elimination: a fixed row or column keeps only its unit diagonal, and the
-    scatter sends each element entry in a fixed row or column to one slot
-    past the end, which is discarded. A plan is tied to its space and
-    boundary data: build it in the solve that uses it, to be freed with it.
+    block d + c) in fixed and lift; a bc whose fixed dofs leave a rigid
+    motion free raises EmptyDirichlet (_check_pinned). The pattern is then
+    the one left by symmetric elimination: a fixed row or column keeps only
+    its unit diagonal, and the scatter sends each element entry in a fixed
+    row or column to one slot past the end, which is discarded. A plan keeps
+    its space and is tied to it and its boundary data: build it in the solve
+    that uses it, to be freed with it.
     """
 
     def __init__(self, space: FESpace, block: int,
@@ -275,6 +276,7 @@ class AssemblyPlan:
         keys = (np.repeat(ed, m, axis=1) * ns + np.tile(ed, (1, m))).ravel()
         keys, scatter = np.unique(keys, return_inverse=True)
         rows, cols = np.divmod(keys, ns)
+        self.space = space
         self.n = n = block * ns
         self.fixed = np.zeros(n, dtype=bool)
         self.lift = np.zeros(n)
@@ -284,8 +286,8 @@ class AssemblyPlan:
                 if value is not None:
                     self.fixed[block * sdofs + comp] = True
                     self.lift[block * sdofs + comp] = _evaluate(value, space.dof_coords[sdofs])
-        if bc is not None and not self.fixed.any():
-            raise EmptyDirichlet(f"no Dirichlet dofs on {', '.join(bc.component_values())}")
+        if bc is not None:
+            _check_pinned(space, block, self.fixed, bc)
         self.dofs = (block * ed[..., None] + np.arange(block)).reshape(ne, -1)
         # Scalar entry (r, c) stands for entries (block r + i, block c + j). A
         # fixed row holds only its diagonal; the free rows block r + i hold the
@@ -343,6 +345,33 @@ class AssemblyPlan:
         rhs = f - k_lift
         rhs[self.fixed] = self.lift[self.fixed]
         return LinearSystem(matrix=matrix, rhs=rhs)
+
+
+def _check_pinned(space: FESpace, block: int, fixed: np.ndarray,
+                  bc: ThermalBC | MechanicalBC) -> None:
+    """Raise EmptyDirichlet unless the fixed dofs pin every rigid motion: the
+    constant of a scalar plan, and of a vector plan the translations (1, 0),
+    (0, 1) and the rotation (-y, x), whose values on the fixed dofs must have
+    rank 3. The translations live on disjoint dofs, so that rank is 3 unless
+    no u_x or no u_y is fixed, or every fixed u_x lies on one line y = c and
+    every fixed u_y on one line x = d, which leaves the rotation about (d, c)
+    free: a closed form of the rank, with no LAPACK call."""
+    dofs, tags = np.flatnonzero(fixed), ", ".join(bc.component_values())
+    if dofs.size == 0:
+        raise EmptyDirichlet(f"no Dirichlet dofs on {tags}")
+    if block == 1:
+        return
+    on_x = dofs % 2 == 0
+    c = space.dof_coords[dofs[on_x] // 2, 1]    # y of each fixed u_x
+    d = space.dof_coords[dofs[~on_x] // 2, 0]   # x of each fixed u_y
+    line = 1e-12 * np.ptp(space.dof_coords, axis=0).max()   # spread of points on a line
+    if c.size == 0 or d.size == 0:
+        motion = f"translation along {(1, 0) if c.size == 0 else (0, 1)}"
+    elif np.ptp(c) <= line and np.ptp(d) <= line:
+        motion = "rotation about ({:g}, {:g})".format(*np.round([d[0], c[0]], 6) + 0.0)
+    else:
+        return
+    raise EmptyDirichlet(f"the Dirichlet dofs on {tags} leave a rigid {motion} free")
 
 
 def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
@@ -420,41 +449,31 @@ def thermal_load(space: FESpace, p: MaterialParams, theta: FEField | None) -> np
     return np.bincount(vdofs.ravel(), weights=f_local.ravel(), minlength=space.n_dofs)
 
 
-def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None,
-                        u_prev: FEField, bc: MechanicalBC,
-                        plan: AssemblyPlan | None = None,
-                        f: np.ndarray | None = None,
-                        tangent: bool = False,
-                        eps_prev: np.ndarray | None = None) -> tuple[LinearSystem, int]:
-    """Elasticity linearized at u_prev, with the thermal-gradient body force.
+def assemble_mechanical(plan: AssemblyPlan, p: MaterialParams, eps: np.ndarray,
+                        f: np.ndarray, tangent: bool = False) -> tuple[LinearSystem, int]:
+    """Elasticity on plan's 2-vector space, linearized at a displacement u of
+    Mandel strains eps (strains_at_qps(u), (ne, nqp, 3)), with the load f
+    over all dofs, before elimination (such as thermal_load).
 
-    By default the Picard system: phi from u_prev at each quadrature point,
+    By default the Picard system: phi from eps at each quadrature point,
     frozen, and the load f. With tangent=True the Newton system: the tangent
     dsigma/deps = phi E + (phi'/t)(E eps)(E eps)^T and the load
-    f - F_int(u_prev) + K_T u_prev, so the solution x gives the Newton
-    direction x - u_prev; the system carries F_int as internal_force. Returns
-    the system and the number of clamp events. The element matrices of each
-    block of _ELEMENT_BLOCK elements are one product of the per-point
-    material matrices, on gradients scaled by 2/h, with a fixed table of
+    f - F_int(u) + K_T u, so the solution x gives the Newton direction
+    x - u; the system carries F_int as internal_force. Returns the system
+    and the number of clamp events. The element matrices of each block of
+    _ELEMENT_BLOCK elements are one product of the per-point material
+    matrices, on gradients scaled by 2/h, with a fixed table of
     reference-gradient products (as in MILAMIN: Dabrowski, Krotkiewski &
     Schmid, G^3 9, 2008), and are scattered into the plan's CSR data, and
-    into K lift, before the next block is formed. A solve that assembles
-    repeatedly passes plan = AssemblyPlan(space, 2, bc) and f =
-    thermal_load(space, p, theta), built once, and may pass
-    strains_at_qps(u_prev) as eps_prev.
+    into K lift, before the next block is formed.
     """
+    space = plan.space
     if space.components != 2:
         raise ValueError("mechanical problem needs a 2-vector space")
-    if plan is None:
-        plan = AssemblyPlan(space, 2, bc)
-    if f is None:
-        f = thermal_load(space, p, theta)
 
     E = p.E.entries
-    if eps_prev is None:
-        eps_prev = strains_at_qps(u_prev)
-    t_prev = energy_norm_m(eps_prev, E)
-    phi, clamps = relaxation_factor_m(t_prev, p)
+    t = energy_norm_m(eps, E)
+    phi, clamps = relaxation_factor_m(t, p)
     scale = phi * space.detJxW
     # Per-point C = phi detJ w E + k n n^T at the Mandel entries of the pairs
     # (_K, _L): (phi'/t)(E eps)(E eps)^T detJ w = k n n^T with n = E eps / t,
@@ -463,10 +482,9 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
     i, j = _MANDEL[_K], _MANDEL[_L]
     C = scale[..., None] * E[i, j]
     if tangent:
-        E_eps = eps_prev @ E
-        n = np.divide(E_eps, t_prev[..., None], out=np.zeros_like(E_eps),
-                      where=t_prev[..., None] > 0.0)
-        k = ((p.b * t_prev) ** p.a * phi ** (1.0 + p.a) * space.detJxW)[..., None]
+        E_eps = eps @ E
+        n = np.divide(E_eps, t[..., None], out=np.zeros_like(E_eps), where=t[..., None] > 0.0)
+        k = ((p.b * t) ** p.a * phi ** (1.0 + p.a) * space.detJxW)[..., None]
         C += (k * n)[..., i] * n[..., j]
     S = _WEIGHT * (2.0 / space.h)[:, [0, 1, 0, 1]]   # reference component k -> strain
     C *= (S[:, _K] * S[:, _L])[:, None]
@@ -482,8 +500,8 @@ def assemble_mechanical(space: FESpace, p: MaterialParams, theta: FEField | None
     if not tangent:
         return plan.system(k_blocks, f), clamps
     # F_int = sum_q G^T S sigma detJ w, G the reference gradients, and
-    # K_T u_prev = F_int + sum_q G^T S k n (n . eps), with n t = E eps: so the
-    # load f - F_int + K_T u_prev is f plus the last sum, without cancellation.
+    # K_T u = F_int + sum_q G^T S k n (n . eps), with n t = E eps: so the
+    # load f - F_int + K_T u is f plus the last sum, without cancellation.
     f_int, stiffening = (np.bincount(plan.dofs.ravel(), minlength=space.n_dofs, weights=(
         (v[..., _MANDEL] * S[:, None]).reshape(ne, -1) @ space.grad_table.T).ravel())
         for v in (scale[..., None] * E_eps, k * E_eps))

@@ -357,9 +357,7 @@ def _solve(cfg: RunConfig, setup: solver._Setup) -> RunResult:
     from .postprocess import recover_fields
 
     p = cfg.material()
-    space = setup.u.space
-    u, report = newton_solve(space, p, setup.theta, cfg.mechanical_bc(), cfg.picard(),
-                             start=setup)
+    u, report = newton_solve(setup, p, cfg.picard())
     fields = recover_fields(u, setup.theta, p)
-    return RunResult(config=cfg, mesh=space.mesh, theta=setup.theta, u=u, report=report,
+    return RunResult(config=cfg, mesh=u.space.mesh, theta=setup.theta, u=u, report=report,
                      fields=fields)

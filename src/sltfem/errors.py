@@ -38,7 +38,8 @@ class MisalignedCrack(SltfemError):
 
 
 class EmptyDirichlet(SltfemError):
-    """No Dirichlet degree of freedom: the reduced system would be singular."""
+    """The Dirichlet dofs leave a rigid motion free, or there are none: the
+    reduced system would be singular. The message names the free motion."""
 
 
 class SolverBreakdown(SltfemError):

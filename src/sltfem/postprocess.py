@@ -58,7 +58,7 @@ def _principal_values(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean + rad, mean - rad
 
 
-def _project_to_nodes(mesh: CrackedMesh, space, qp_values: np.ndarray) -> np.ndarray:
+def _project_to_nodes(space, qp_values: np.ndarray) -> np.ndarray:
     """Volume-weighted average of adjacent quadrature values at each mesh node.
 
     Each quadrature value enters with weight w*detJ*N_a(qp), the bilinear
@@ -68,11 +68,10 @@ def _project_to_nodes(mesh: CrackedMesh, space, qp_values: np.ndarray) -> np.nda
     """
     Ngeo, _ = shape_functions(1, space.qp_ref)          # (nqp, 4)
     w = Ngeo.T[None] * space.detJxW[:, None, :]         # (ne, 4, nqp)
-    nodes = mesh.elements.ravel()
+    nodes, n_nodes = space.mesh.elements.ravel(), space.mesh.n_nodes
     values = (w @ qp_values).reshape(nodes.size, -1)
-    acc = np.column_stack([np.bincount(nodes, weights=c, minlength=mesh.n_nodes)
-                           for c in values.T])
-    wacc = np.bincount(nodes, weights=w.sum(axis=2).ravel(), minlength=mesh.n_nodes)
+    acc = np.column_stack([np.bincount(nodes, weights=c, minlength=n_nodes) for c in values.T])
+    wacc = np.bincount(nodes, weights=w.sum(axis=2).ravel(), minlength=n_nodes)
     return acc / wacc[:, None]
 
 
@@ -110,7 +109,7 @@ def recover_fields(u: FEField, theta: FEField | None, p: MaterialParams) -> dict
     ]
     # One projection of every field's quadrature values, stacked as columns.
     columns = [v if v.ndim == 3 else v[..., None] for _, v, _ in qp_fields]
-    nodal = _project_to_nodes(mesh, space, np.concatenate(columns, axis=-1))
+    nodal = _project_to_nodes(space, np.concatenate(columns, axis=-1))
     out: dict[str, NodalField] = {}
     start = 0
     for (name, v, units), c in zip(qp_fields, columns):

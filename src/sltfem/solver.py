@@ -23,7 +23,6 @@ from .assembly import (
     l2_norm,
     mass_matrix,  # noqa: F401 -- stays in this namespace for perfbench/tracing.py
     strains_at_qps,
-    thermal_load,
 )
 from .constitutive import DELTA_GUARD, MaterialParams, strain_energy_density_m
 from .errors import InadmissibleStrain, InvalidParameter, SolverBreakdown
@@ -100,8 +99,8 @@ class Preconditioner:
     Build one per solve, like AssemblyPlan, to be freed with it. linear_solve
     holds each fresh factor here and drops the held one before it factors
     again, so one holder keeps at most one LU alive. The b = 0 factor of a
-    set-up handed to newton_solve as its start (run_single's, shared within
-    a sweep) outlives the fresh() holder of each solve, so two can be.
+    set-up (run_single's, shared within a sweep) outlives the fresh() holder
+    that newton_solve or picard_solve makes for each solve, so two can be.
     """
 
     lu: object = None
@@ -307,11 +306,11 @@ def solve_thermal(space: FESpace, p: MaterialParams, Q_source=0.0,
 class _Setup:
     """Everything a solve builds before its nonlinear iteration: theta, the
     b = 0 solution u it starts from (u.space is the displacement space), the
-    Dirichlet plan, the thermal load f, and load, the norm of the free
-    part of the b = 0 right-hand side (1 if it is zero). report and precond
-    hold the b = 0 solve's history and factor. Nothing here depends on a or
-    b (at b = 0 the multiplier is 1 for every a), so a sweep builds one
-    set-up and hands each solve a fresh() copy."""
+    Dirichlet plan, the load f, and load, the norm of the free part of the
+    b = 0 right-hand side (1 if it is zero). report and precond hold the
+    b = 0 solve's history and factor. Nothing here depends on a or b (at
+    b = 0 the multiplier is 1 for every a), so one set-up serves a sweep:
+    newton_solve and picard_solve each work on a fresh() copy."""
 
     theta: FEField | None
     u: FEField
@@ -331,8 +330,9 @@ class _Setup:
 
 def build_setup(space: FESpace, p: MaterialParams, bc: MechanicalBC,
                 thermal: Callable[[], tuple[FEField | None, np.ndarray]]) -> _Setup:
-    """The set-up of a solve with the Dirichlet data bc, for any a and b;
-    thermal() returns theta and the load f. The plan and the b = 0 system
+    """The set-up of newton_solve or picard_solve with the Dirichlet data bc,
+    for any a and b; thermal() returns theta and the load f, such as
+    (theta, thermal_load(space, p, theta)). The plan and the b = 0 system
     are built and factored in float32 before thermal() is called, as theta
     enters only through the load: a thermal() waiting on another thread
     overlaps that work. f is added on the free dofs (the same sum as a
@@ -342,7 +342,8 @@ def build_setup(space: FESpace, p: MaterialParams, bc: MechanicalBC,
     try:
         plan = AssemblyPlan(space, 2, bc)
         p_lin = p if p.b == 0.0 else replace(p, b=0.0)
-        sys, _ = assemble_mechanical(space, p_lin, None, FEField.zero(space), bc, plan=plan)
+        sys, _ = assemble_mechanical(plan, p_lin, np.zeros((space.mesh.n_elements, space.nqp, 3)),
+                                     np.zeros(space.n_dofs))
         try:
             lu = _factor(sys.matrix.tocsr(), np.float32)
         except SolverBreakdown:
@@ -359,24 +360,23 @@ def build_setup(space: FESpace, p: MaterialParams, bc: MechanicalBC,
     return _Setup(theta, u, plan, f, load or 1.0, report, precond)
 
 
-def picard_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
-                 bc: MechanicalBC, cfg: PicardConfig = PicardConfig()
+def picard_solve(setup: _Setup, p: MaterialParams, cfg: PicardConfig = PicardConfig()
                  ) -> tuple[FEField, SolveReport]:
     """Fixed-point iteration on the Picard-linearized mechanical problem.
 
-    Starts from the b=0 linear solve of build_setup with theta's thermal
-    load; each step freezes the nonlinear multiplier at the previous iterate.
-    The factor of the b=0 system preconditions CG on each later system,
-    started from the previous iterate.
-    The increment norm is the L2 norm of the displacement difference at the
-    quadrature points (l2_norm). Non-convergence is reported, not raised.
+    Starts from the b=0 solution of a fresh() copy of setup (build_setup's,
+    for any a and b); each step freezes the nonlinear multiplier at the
+    previous iterate. The b=0 factor preconditions CG on each later system,
+    started from the previous iterate. The increment norm is the L2 norm of
+    the displacement difference at the quadrature points (l2_norm).
+    Non-convergence is reported, not raised.
     """
-    setup = build_setup(space, p, bc, lambda: (theta, thermal_load(space, p, theta)))
-    report, u = setup.report, setup.u
+    setup = setup.fresh()
+    report, u, space = setup.report, setup.u, setup.u.space
     omega = cfg.damping
     for _ in range(cfg.max_iter):
         sys = None   # freed before the next assembly, while the held LU is alive
-        sys, clamps = assemble_mechanical(space, p, theta, u, bc, plan=setup.plan, f=setup.f)
+        sys, clamps = assemble_mechanical(setup.plan, p, strains_at_qps(u), setup.f)
         report.clamp_events += clamps
         x = linear_solve(sys, report, x0=u.values, precond=setup.precond)
         u_new = omega * x + (1.0 - omega) * u.values
@@ -452,17 +452,14 @@ def _forcing(eta: float, r_norm: float, r_prev: float | None) -> float:
     return min(_ETA_MAX, max(eta, safeguard) if safeguard > 0.1 else eta)
 
 
-def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
-                 bc: MechanicalBC, cfg: PicardConfig = PicardConfig(),
-                 start: _Setup | None = None) -> tuple[FEField, SolveReport]:
+def newton_solve(setup: _Setup, p: MaterialParams, cfg: PicardConfig = PicardConfig()
+                 ) -> tuple[FEField, SolveReport]:
     """Newton's method on the potential energy Pi(u) = sum W(eps(u)) detJ w - f.u.
 
-    Starts from the b=0 linear solve, scaled toward the Dirichlet lift by Pi
+    Starts from the b=0 solution of a fresh() copy of setup (build_setup's,
+    for any a and b, with any load), scaled toward the Dirichlet lift by Pi
     and the strain limit (see _scaled_start; InadmissibleStrain if the b = 0
-    solution and the lift both violate the limit). The set-up is built by
-    build_setup with theta's thermal load, or a given start (a build_setup
-    set-up for the same space and bc, any a and b, and any load) is used
-    through a fresh() copy. Each step solves the
+    solution and the lift both violate the limit). Each step solves the
     consistent-tangent system, CG preconditioned by the b=0 factor and
     started from the iterate, only as far as an inexact Newton step needs
     (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): to a
@@ -481,15 +478,13 @@ def newton_solve(space: FESpace, p: MaterialParams, theta: FEField | None,
     within 2 DELTA_GUARD of the strain limit: then the load has no solution
     the guarded law can carry, and InadmissibleStrain names where.
     """
-    setup = (build_setup(space, p, bc, lambda: (theta, thermal_load(space, p, theta)))
-             if start is None else start.fresh())
-    report = setup.report
+    setup = setup.fresh()
+    report, space = setup.report, setup.u.space
     u, energy, eps = _scaled_start(setup, p)
     eta, r_prev = 0.0, None
     for _ in range(cfg.max_iter):
         sys = None   # freed before the next assembly, while the held LU is alive
-        sys, clamps = assemble_mechanical(space, p, theta, u, bc, plan=setup.plan,
-                                          f=setup.f, tangent=True, eps_prev=eps)
+        sys, clamps = assemble_mechanical(setup.plan, p, eps, setup.f, tangent=True)
         report.clamp_events += clamps
         r_norm = np.linalg.norm(sys.rhs - sys.matrix @ u.values)
         force = float(np.linalg.norm(sys.internal_force))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from sltfem.assembly import (
 from sltfem.mesh import GAMMA1, GAMMA2, GAMMA3, GAMMA4
 from sltfem.solver import linear_solve, solve_thermal
 
+from mechanics import mechanical
 from reference_geometry import bilinear_geometry, graded_cracked_grid
 
 
@@ -306,22 +308,20 @@ class TestStrainEvaluation:
 class TestMechanicalAssembly:
     def test_zero_data_gives_zero_solution(self):
         space = FESpace(build_cracked_grid(4, 4), order=2, components=2)
-        sys, clamps = assemble_mechanical(space, make_params(b=0.0), None,
-                                          FEField.zero(space), MechanicalBC())
+        sys, clamps = mechanical(space, make_params(b=0.0), None, FEField.zero(space),
+                                 MechanicalBC())
         assert clamps == 0
         np.testing.assert_allclose(linear_solve(sys), 0.0, atol=1e-14)
 
     def test_matrix_symmetric(self):
         space = FESpace(build_cracked_grid(4, 4), order=2, components=2)
-        sys, _ = assemble_mechanical(space, make_params(b=0.0), None,
-                                     FEField.zero(space), MechanicalBC())
+        sys, _ = mechanical(space, make_params(b=0.0), None, FEField.zero(space), MechanicalBC())
         asym = abs(sys.matrix - sys.matrix.T).max()
         assert asym <= 1e-12 * abs(sys.matrix).max()
 
     def test_matrix_positive_definite(self):
         space = FESpace(build_cracked_grid(4, 4), order=2, components=2)
-        sys, _ = assemble_mechanical(space, make_params(b=0.0), None,
-                                     FEField.zero(space), MechanicalBC())
+        sys, _ = mechanical(space, make_params(b=0.0), None, FEField.zero(space), MechanicalBC())
         lam_min = spla.eigsh(sys.matrix, k=1, which="SA", return_eigenvectors=False)[0]
         assert lam_min > 0
 
@@ -337,9 +337,8 @@ class TestMechanicalAssembly:
 
         phi = float(relaxation_factor_m(energy_norm_m(eps, p.E.entries), p)[0])
         bc = MechanicalBC(extra={GAMMA1: (0.0, 0.0)})
-        sys_nl, _ = assemble_mechanical(space, p, None, u_prev, bc)
-        sys_lin, _ = assemble_mechanical(space, make_params(b=0.0), None,
-                                         FEField.zero(space), bc)
+        sys_nl, _ = mechanical(space, p, None, u_prev, bc)
+        sys_lin, _ = mechanical(space, make_params(b=0.0), None, FEField.zero(space), bc)
         diff = abs(sys_nl.matrix - phi * sys_lin.matrix).max()
         # Dirichlet diagonals stay at 1 in both, so compare off-eliminated rows
         free = np.flatnonzero(~AssemblyPlan(space, 2, bc).fixed)
@@ -353,14 +352,38 @@ class TestMechanicalAssembly:
         space = FESpace(build_grid(4, 4), order=1, components=2)
         bc = MechanicalBC(extra={GAMMA1: (None, None), GAMMA3: (None, None)})
         with pytest.raises(EmptyDirichlet, match=f"^no Dirichlet dofs on {GAMMA3}, {GAMMA1}$"):
-            assemble_mechanical(space, make_params(), None, FEField.zero(space), bc)
+            AssemblyPlan(space, 2, bc)
+
+    @pytest.mark.parametrize("extra, motion", [
+        ({GAMMA3: (None, 0.0)}, "translation along (1, 0)"),
+        ({GAMMA3: (0.0, None), GAMMA1: (0.0, None)}, "translation along (0, 1)"),
+        ({GAMMA3: (None, None), GAMMA1: (0.0, None), GAMMA4: (None, 0.0)},
+         "rotation about (0, 0)"),
+    ], ids=["x-translation", "y-translation", "rotation"])
+    def test_free_rigid_motion_raises(self, extra, motion):
+        # u_y fixed on the top and bottom leaves the plate free to slide along
+        # x: the b = 0 system is singular, and the cancellation floor of the
+        # linear contract grows with |u|, so its solve would pass at any residual.
+        space = FESpace(build_cracked_grid(8, 8), order=2, components=2)
+        bc = MechanicalBC(extra=extra)
+        tags = ", ".join(bc.component_values())
+        with pytest.raises(EmptyDirichlet, match=re.escape(
+                f"the Dirichlet dofs on {tags} leave a rigid {motion} free")):
+            AssemblyPlan(space, 2, bc)
+
+    def test_rejects_scalar_space(self):
+        space = FESpace(build_grid(2, 2), order=1)
+        with pytest.raises(ValueError, match="2-vector space"):
+            assemble_mechanical(AssemblyPlan(space, 1, ThermalBC()), make_params(),
+                                np.zeros((space.mesh.n_elements, space.nqp, 3)),
+                                np.zeros(space.n_dofs))
 
     def test_galerkin_residual_below_solver_tolerance(self):
         space = FESpace(build_cracked_grid(8, 8), order=2, components=2)
         p = make_params(b=0.0)
         theta_space = FESpace(space.mesh, order=2)
         theta = solve_thermal(theta_space, p, Q_source=100.0, bc=ThermalBC(value=100.0))
-        sys, _ = assemble_mechanical(space, p, theta, FEField.zero(space), MechanicalBC())
+        sys, _ = mechanical(space, p, theta, FEField.zero(space), MechanicalBC())
         x = linear_solve(sys)
         res = np.linalg.norm(sys.matrix @ x - sys.rhs) / np.linalg.norm(sys.rhs)
         assert res <= 1e-12
@@ -509,7 +532,7 @@ class TestAssemblyPlan:
         u_prev = FEField(space, interpolate_vec(space, lambda x, y: 5.0 * x * y,
                                                 lambda x, y: 3.0 * x * x))
         bc = MechanicalBC(top_uy=0.1)
-        sys, _ = assemble_mechanical(space, p, theta, u_prev, bc)
+        sys, _ = mechanical(space, p, theta, u_prev, bc)
 
         from sltfem.constitutive import relaxation_factor_m
         from sltfem.tensors import energy_norm_m
@@ -546,7 +569,7 @@ class TestAssemblyPlan:
         u_prev = FEField(space, interpolate_vec(space, lambda x, y: 5.0 * x * y,
                                                 lambda x, y: 3.0 * x * x))
         bc = MechanicalBC(top_uy=0.1)
-        sys, _ = assemble_mechanical(space, p, theta, u_prev, bc, tangent=True)
+        sys, _ = mechanical(space, p, theta, u_prev, bc, tangent=True)
 
         # dsigma/deps = phi E + (phi'/t)(E eps)(E eps)^T at each point,
         # phi' = b^a t^(a-1) (1 - (b t)^a)^(-1/a-1). The oracle is evaluated
@@ -626,7 +649,7 @@ class TestAssemblyPlan:
         bc = MechanicalBC(top_uy=0.1)
 
         def systems():
-            return [assemble_mechanical(space, p, theta, u_prev, bc, tangent=tangent)[0]
+            return [mechanical(space, p, theta, u_prev, bc, tangent=tangent)[0]
                     for tangent in (False, True)]
 
         ne = space.mesh.n_elements
@@ -649,7 +672,7 @@ class TestAssemblyPlan:
         systems = [
             (assemble_thermal(theta_space, p, 100.0, ThermalBC()),
              dirichlet_of(AssemblyPlan(theta_space, 1, ThermalBC()))),
-            (assemble_mechanical(space, p, None, FEField.zero(space), bc)[0],
+            (mechanical(space, p, None, FEField.zero(space), bc)[0],
              dirichlet_of(AssemblyPlan(space, 2, bc))),
         ]
         for sys, dirichlet in systems:

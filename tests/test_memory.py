@@ -37,15 +37,14 @@ def plate():
     theta = solve_thermal(FESpace(space.mesh, order=2), p, cfg.Q, cfg.thermal_bc())
     plan = AssemblyPlan(space, 2, bc)
     f = thermal_load(space, p, theta)
-    sys0, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc,
-                                  plan=plan, f=f)
+    sys0, _ = assemble_mechanical(plan, replace(p, b=0.0),
+                                  strains_at_qps(FEField.zero(space)), f)
     precond = Preconditioner()
     u = FEField(space, linear_solve(sys0, precond=precond))
     eps = strains_at_qps(u)
 
     def tangent():
-        return assemble_mechanical(space, p, theta, u, bc, plan=plan, f=f, tangent=True,
-                                   eps_prev=eps)[0]
+        return assemble_mechanical(plan, p, eps, f, tangent=True)[0]
 
     return tangent, u, precond.lu
 

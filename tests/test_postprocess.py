@@ -26,8 +26,10 @@ from sltfem.cli import scenario_config
 from sltfem.config import RunConfig, run_single
 from sltfem.constitutive import stress_from_strain_m
 from sltfem.postprocess import NodalField, _principal_values
-from sltfem.solver import newton_solve, solve_thermal
+from sltfem.solver import solve_thermal
 from sltfem.tensors import SQRT2, energy_norm_m
+
+from mechanics import newton
 
 
 def make_params(**kw):
@@ -274,13 +276,13 @@ class TestSharedSetUp:
 
     def test_failed_value_raises_at_its_turn(self, monkeypatch):
         error = InadmissibleStrain(2.0, location="b = 0.01")
-        newton = sltfem.config.newton_solve
+        solve = sltfem.config.newton_solve
 
-        def failing(space, p, *args, **kwargs):
+        def failing(setup, p, *args, **kwargs):
             if p.b == 0.01:
                 raise error
             time.sleep(0.05)   # the solves after the failed one are still running
-            return newton(space, p, *args, **kwargs)
+            return solve(setup, p, *args, **kwargs)
 
         monkeypatch.setattr(sltfem.config, "newton_solve", failing)
         results = recording_run_single(monkeypatch)
@@ -336,8 +338,8 @@ class TestThreadedSetUp:
         mesh, p = cfg.build_mesh(), cfg.material()
         theta = solve_thermal(FESpace(mesh, order=order, components=1), p,
                               Q_source=cfg.Q, bc=cfg.thermal_bc())
-        u, report = newton_solve(FESpace(mesh, order=order, components=2), p, theta,
-                                 cfg.mechanical_bc(), cfg.picard())
+        u, report = newton(FESpace(mesh, order=order, components=2), p, theta,
+                           cfg.mechanical_bc(), cfg.picard())
         np.testing.assert_array_equal(got.theta.values, theta.values)
         np.testing.assert_array_equal(got.u.values, u.values)
         for name, fld in recover_fields(u, theta, p).items():
@@ -387,10 +389,10 @@ class TestThreadedSetUp:
         error = SolverBreakdown("sparse factorization failed: thermal")
         got_b0, dtypes = self._mechanical_splu(monkeypatch, cfg, float32_fails=True)
         mesh, p = cfg.build_mesh(), cfg.material()
-        u, report = newton_solve(FESpace(mesh, order=2, components=2), p,
-                                 solve_thermal(FESpace(mesh, order=2), p, Q_source=cfg.Q,
-                                               bc=cfg.thermal_bc()),
-                                 cfg.mechanical_bc(), cfg.picard())
+        u, report = newton(FESpace(mesh, order=2, components=2), p,
+                           solve_thermal(FESpace(mesh, order=2), p, Q_source=cfg.Q,
+                                         bc=cfg.thermal_bc()),
+                           cfg.mechanical_bc(), cfg.picard())
         assert dtypes == [np.float32, np.float64] and report.factorizations == 1
         thermal, order = sltfem.config.solve_thermal, []
 

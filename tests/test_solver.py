@@ -22,7 +22,6 @@ from sltfem.assembly import (
     LinearSystem,
     MechanicalBC,
     ThermalBC,
-    assemble_mechanical,
     assemble_thermal,
     l2_norm,
     strains_at_qps,
@@ -37,11 +36,11 @@ from sltfem.solver import (
     build_setup,
     linear_solve,
     newton_solve,
-    picard_solve,
     solve_thermal,
 )
 from sltfem.tensors import energy_norm_m
 
+from mechanics import mechanical, newton, picard
 from reference_geometry import bilinear_geometry
 
 
@@ -111,14 +110,14 @@ class TestLinearSolve:
 
     def test_residual_contract(self):
         space, p, theta = cracked_setup(8)
-        sys, _ = assemble_mechanical(space, p, theta, FEField.zero(space), MechanicalBC())
+        sys, _ = mechanical(space, p, theta, FEField.zero(space), MechanicalBC())
         x = linear_solve(sys)
         res = np.linalg.norm(sys.matrix @ x - sys.rhs) / np.linalg.norm(sys.rhs)
         assert res <= 1e-12
 
     def test_mismatched_factor_falls_back_to_a_fresh_one(self):
         space, p, theta = cracked_setup(8)
-        sys, _ = assemble_mechanical(space, p, theta, FEField.zero(space), MechanicalBC())
+        sys, _ = mechanical(space, p, theta, FEField.zero(space), MechanicalBC())
         stale = spla.splu(sp.identity(sys.rhs.size, format="csc"))
         precond = Preconditioner(stale)
         report = SolveReport()
@@ -137,9 +136,9 @@ class TestLinearSolve:
         """The b = 0 system of the 8x8 cracked plate and the Newton system at its solution."""
         space, p, theta = cracked_setup(8, **paramkw)
         bc = MechanicalBC()
-        sys0, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc)
+        sys0, _ = mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc)
         u0 = FEField(space, linear_solve(sys0))
-        sys1, _ = assemble_mechanical(space, p, theta, u0, bc, tangent=True)
+        sys1, _ = mechanical(space, p, theta, u0, bc, tangent=True)
         return sys0, sys1, u0.values
 
     @staticmethod
@@ -279,7 +278,7 @@ class TestLinearSolve:
 
     def test_cg_gives_up_before_the_budget(self):
         space, p, theta = cracked_setup(8)
-        sys, _ = assemble_mechanical(space, p, theta, FEField.zero(space), MechanicalBC())
+        sys, _ = mechanical(space, p, theta, FEField.zero(space), MechanicalBC())
         identity = spla.splu(sp.identity(sys.rhs.size, format="csc"))
         report = SolveReport()
         x = linear_solve(sys, report, precond=Preconditioner(identity))
@@ -298,8 +297,8 @@ class TestCopyFreeSolvePath:
         """The 8x8 plate's thermal and b = 0 systems, symmetric bit for bit."""
         space, p, theta = cracked_setup(8)
         thermal = assemble_thermal(FESpace(space.mesh, order=2), p, 100.0, ThermalBC(value=100.0))
-        b0, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space),
-                                    MechanicalBC())
+        b0, _ = mechanical(space, replace(p, b=0.0), theta, FEField.zero(space),
+                           MechanicalBC())
         return thermal, b0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -341,7 +340,7 @@ class TestCopyFreeSolvePath:
 class TestPicard:
     def test_b_zero_converges_immediately(self):
         space, p, theta = cracked_setup(4, b=0.0)
-        u, report = picard_solve(space, p, theta, MechanicalBC())
+        u, report = picard(space, p, theta, MechanicalBC())
         assert report.converged
         assert report.iterations == 1
         assert report.increments == [0.0]
@@ -349,16 +348,16 @@ class TestPicard:
 
     def test_tiny_b_matches_linear(self):
         space, p0, theta = cracked_setup(4, b=0.0, a=1.0)
-        u0, _ = picard_solve(space, p0, theta, MechanicalBC())
+        u0, _ = picard(space, p0, theta, MechanicalBC())
         p1 = make_params(b=1e-10, a=1.0)
-        u1, rep = picard_solve(space, p1, theta, MechanicalBC())
+        u1, rep = picard(space, p1, theta, MechanicalBC())
         assert rep.converged
         rel = l2_norm(space, u1.values - u0.values) / l2_norm(space, u0.values)
         assert rel < 1e-6
 
     def test_default_cracked_run(self):
         space, p, theta = cracked_setup(4)
-        u, report = picard_solve(space, p, theta, MechanicalBC())
+        u, report = picard(space, p, theta, MechanicalBC())
         assert report.converged
         assert report.iterations <= 100
         assert len(report.increments) == report.iterations
@@ -369,9 +368,9 @@ class TestPicard:
     def test_fixed_point_consistency(self):
         space, p, theta = cracked_setup(8)
         cfg = PicardConfig(tol=1e-8)
-        u, report = picard_solve(space, p, theta, MechanicalBC(), cfg)
+        u, report = picard(space, p, theta, MechanicalBC(), cfg)
         assert report.converged
-        sys, _ = assemble_mechanical(space, p, theta, u, MechanicalBC())
+        sys, _ = mechanical(space, p, theta, u, MechanicalBC())
         x = linear_solve(sys)
         assert l2_norm(space, x - u.values) < 10 * cfg.tol
 
@@ -379,7 +378,7 @@ class TestPicard:
         runs = []
         for _ in range(2):
             space, p, theta = cracked_setup(4)
-            _, report = picard_solve(space, p, theta, MechanicalBC())
+            _, report = picard(space, p, theta, MechanicalBC())
             runs.append(report)
         assert runs[0].increments == runs[1].increments
         assert runs[0].linear_solve_stats == runs[1].linear_solve_stats
@@ -388,23 +387,21 @@ class TestPicard:
         counts = []
         for n in (8, 16):
             space, p, theta = cracked_setup(n)
-            _, report = picard_solve(space, p, theta, MechanicalBC())
+            _, report = picard(space, p, theta, MechanicalBC())
             assert report.converged
             counts.append(report.iterations)
         assert counts[1] < 2 * counts[0]
 
     def test_non_convergence_reported_not_raised(self):
         space, p, theta = cracked_setup(4)
-        u, report = picard_solve(space, p, theta, MechanicalBC(),
-                                 PicardConfig(tol=1e-8, max_iter=2))
+        u, report = picard(space, p, theta, MechanicalBC(), PicardConfig(tol=1e-8, max_iter=2))
         assert not report.converged
         assert report.iterations == 2
 
     def test_damping_reaches_same_fixed_point(self):
         space, p, theta = cracked_setup(4)
-        u1, r1 = picard_solve(space, p, theta, MechanicalBC())
-        u2, r2 = picard_solve(space, p, theta, MechanicalBC(),
-                              PicardConfig(damping=0.7))
+        u1, r1 = picard(space, p, theta, MechanicalBC())
+        u2, r2 = picard(space, p, theta, MechanicalBC(), PicardConfig(damping=0.7))
         assert r1.converged and r2.converged
         rel = l2_norm(space, u1.values - u2.values) / l2_norm(space, u1.values)
         assert rel < 1e-6
@@ -412,16 +409,16 @@ class TestPicard:
     def test_reused_factor_matches_fresh_factors(self):
         space, p, theta = cracked_setup(8)
         bc = MechanicalBC()
-        u, report = picard_solve(space, p, theta, bc)
+        u, report = picard(space, p, theta, bc)
         assert report.converged
         assert max(report.linear_solve_stats) <= 1e-12
 
         # Plain Picard: every system factored afresh.
-        sys, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc)
+        sys, _ = mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc)
         ref = FEField(space, linear_solve(sys))
         increments = []
         for _ in range(PicardConfig().max_iter):
-            sys, _ = assemble_mechanical(space, p, theta, ref, bc)
+            sys, _ = mechanical(space, p, theta, ref, bc)
             x = linear_solve(sys)
             increments.append(l2_norm(space, x - ref.values))
             ref = FEField(space, x)
@@ -434,7 +431,7 @@ class TestPicard:
 
     def test_factors_once(self):
         space, p, theta = cracked_setup(8)
-        _, report = picard_solve(space, p, theta, MechanicalBC())
+        _, report = picard(space, p, theta, MechanicalBC())
         assert report.converged
         assert report.factorizations == 1
 
@@ -452,7 +449,7 @@ class TestBuildSetup:
         setup = build_setup(space, p, bc, lambda: (None, f))
         assert setup.theta is None and setup.report.linear_solve_stats[0] <= 1e-12
         for b, iterations in ((0.0, 1), (0.5, 4)):
-            u, report = newton_solve(space, replace(p, b=b), None, bc, start=setup)
+            u, report = newton_solve(setup, replace(p, b=b))
             assert report.converged and report.iterations == iterations
 
 
@@ -461,14 +458,14 @@ class TestTangent:
     def test_matches_central_difference_of_internal_force(self, a):
         space, p, theta = cracked_setup(4, a=a, b=0.02)
         bc = MechanicalBC()
-        u, _ = newton_solve(space, p, theta, bc)
+        u, _ = newton(space, p, theta, bc)
         u = FEField(space, 1.5 * u.values)   # off equilibrium, 1.5x the strains
 
         def residual(w):
-            sys, _ = assemble_mechanical(space, p, theta, w, bc)
+            sys, _ = mechanical(space, p, theta, w, bc)
             return sys.rhs - sys.matrix @ w.values   # f - F_int on the free dofs
 
-        tangent, _ = assemble_mechanical(space, p, theta, u, bc, tangent=True)
+        tangent, _ = mechanical(space, p, theta, u, bc, tangent=True)
         # The Newton system carries the same internal force as the secant one.
         r_newton = tangent.rhs - tangent.matrix @ u.values
         np.testing.assert_allclose(r_newton, residual(u),
@@ -481,7 +478,7 @@ class TestTangent:
         fd = (residual(FEField(space, u.values - h * v))
               - residual(FEField(space, u.values + h * v))) / (2 * h)
         exact = tangent.matrix @ v
-        secant, _ = assemble_mechanical(space, p, theta, u, bc)
+        secant, _ = mechanical(space, p, theta, u, bc)
         # The rank-one term is large enough for a wrong phi' to show.
         assert np.linalg.norm(exact - secant.matrix @ v) > 1e-3 * np.linalg.norm(exact)
         assert np.linalg.norm(fd - exact) <= 1e-6 * np.linalg.norm(exact)
@@ -489,8 +486,8 @@ class TestTangent:
     def test_finite_at_zero_strain(self):
         space, p, theta = cracked_setup(4, a=0.5)
         zero = FEField.zero(space)
-        tangent, _ = assemble_mechanical(space, p, theta, zero, MechanicalBC(), tangent=True)
-        secant, _ = assemble_mechanical(space, p, theta, zero, MechanicalBC())
+        tangent, _ = mechanical(space, p, theta, zero, MechanicalBC(), tangent=True)
+        secant, _ = mechanical(space, p, theta, zero, MechanicalBC())
         assert np.all(np.isfinite(tangent.matrix.data))
         np.testing.assert_allclose(tangent.matrix.toarray(), secant.matrix.toarray(),
                                    rtol=0, atol=1e-14)
@@ -505,8 +502,8 @@ class TestNewton:
     def test_matches_picard(self):
         space, p, theta = cracked_setup(8)
         bc = MechanicalBC()
-        u, report = newton_solve(space, p, theta, bc)
-        u_ref, ref = picard_solve(space, p, theta, bc)
+        u, report = newton(space, p, theta, bc)
+        u_ref, ref = picard(space, p, theta, bc)
         assert report.converged and ref.converged
         assert report.clamp_events == 0 and report.factorizations == 1
         assert report.iterations < ref.iterations
@@ -519,7 +516,7 @@ class TestNewton:
 
     def test_b_zero_converges_immediately(self):
         space, p, theta = cracked_setup(4, b=0.0)
-        u, report = newton_solve(space, p, theta, MechanicalBC())
+        u, report = newton(space, p, theta, MechanicalBC())
         assert report.converged
         assert report.iterations == 1
         assert report.increments == [0.0]
@@ -528,9 +525,9 @@ class TestNewton:
     def test_inadmissible_start_is_scaled(self):
         space, p, theta = cracked_setup(8, b=1.0)
         bc = MechanicalBC()
-        u0, _ = newton_solve(space, replace(p, b=0.0), theta, bc)
+        u0, _ = newton(space, replace(p, b=0.0), theta, bc)
         assert peak_bt(u0, p) > 1.0   # the b = 0 solution violates the limit
-        u, report = newton_solve(space, p, theta, bc)
+        u, report = newton(space, p, theta, bc)
         assert report.converged and report.clamp_events == 0
         assert peak_bt(u, p) < 1.0
         r, _ = free_residual(u, p, theta, bc)
@@ -539,7 +536,7 @@ class TestNewton:
     def test_inadmissible_lift_raises(self):
         space, p, theta = cracked_setup(8, b=0.5)
         with pytest.raises(InadmissibleStrain, match=r"\(x, y\).*top_uy"):
-            newton_solve(space, p, theta, MechanicalBC(top_uy=3.0))
+            newton(space, p, theta, MechanicalBC(top_uy=3.0))
 
     def test_failed_line_search_keeps_last_iterate(self, monkeypatch):
         space, p, theta = cracked_setup(4)
@@ -552,19 +549,19 @@ class TestNewton:
             return energy(u, *args) if len(calls) == 1 else np.inf
 
         monkeypatch.setattr(sltfem.solver, "_energy", start_only)
-        u, report = newton_solve(space, p, theta, bc)
+        u, report = newton(space, p, theta, bc)
         assert not report.converged and report.iterations == 1
         # The start and its half (inf, so the start stays), then steps 1, 1/2, ..., 2^-20.
         assert len(calls) == 3 + 20
         # The returned iterate is the (admissible) b = 0 start.
-        sys, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc)
+        sys, _ = mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc)
         np.testing.assert_array_equal(u.values, linear_solve(sys))
 
     def test_energy_scaled_start(self):
         # The b = 0 solution overshoots the a = 0.1 law; the start scaled by Pi
         # saves most of the iterations and factorizations (14 and 5 unscaled).
         space, p, theta = cracked_setup(16, a=0.1, b=0.02)
-        u, report = newton_solve(space, p, theta, MechanicalBC())
+        u, report = newton(space, p, theta, MechanicalBC())
         assert report.converged
         assert report.iterations <= 6 and report.factorizations <= 3
 
@@ -579,16 +576,16 @@ class TestNewton:
             return starts[-1]
 
         monkeypatch.setattr(sltfem.solver, "_scaled_start", keep)
-        newton_solve(space, p, theta, bc)
-        sys, _ = assemble_mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc)
+        newton(space, p, theta, bc)
+        sys, _ = mechanical(space, replace(p, b=0.0), theta, FEField.zero(space), bc)
         np.testing.assert_array_equal(starts[0][0].values, linear_solve(sys))
 
     def test_forcing_keeps_the_solution(self, monkeypatch):
         space, p, theta = cracked_setup(16)
         bc = MechanicalBC()
-        u, report = newton_solve(space, p, theta, bc)
+        u, report = newton(space, p, theta, bc)
         monkeypatch.setattr(sltfem.solver, "_ETA_MAX", 0.0)   # every system to 1e-12
-        u_exact, exact = newton_solve(space, p, theta, bc)
+        u_exact, exact = newton(space, p, theta, bc)
         assert max(exact.linear_solve_stats) <= 1e-12
         assert report.converged and exact.converged
         assert report.iterations == exact.iterations
@@ -606,7 +603,7 @@ class TestNewton:
             return solve(sys, report, x0=x0, precond=precond, tol=tol)
 
         monkeypatch.setattr(sltfem.solver, "linear_solve", record)
-        _, report = newton_solve(space, p, theta, MechanicalBC())
+        _, report = newton(space, p, theta, MechanicalBC())
         stats = report.linear_solve_stats
         assert len(calls) == len(stats) == report.iterations + 1
         assert calls[0][0] == 1e-12 and stats[0] <= 1e-12   # the b = 0 start
@@ -633,7 +630,7 @@ class TestNewton:
             return solves[-1][2]
 
         monkeypatch.setattr(sltfem.solver, "linear_solve", record)
-        newton_solve(space, p, theta, MechanicalBC())
+        newton(space, p, theta, MechanicalBC())
         tols = [tol for _, tol, _ in solves]
         assert min(tols) == 1e-12 and max(tols) > 1e-9
         ld = np.longdouble
@@ -647,7 +644,7 @@ class TestNewton:
     def test_forcing_saves_cg_steps(self):
         # 15 CG steps with the forcing term, 38 with every system solved to 1e-12.
         space, p, theta = cracked_setup(16)
-        _, report = newton_solve(space, p, theta, MechanicalBC())
+        _, report = newton(space, p, theta, MechanicalBC())
         assert report.converged and report.factorizations == 1
         assert sum(report.refine_steps) <= 20
 
@@ -663,7 +660,7 @@ class TestNewton:
             theta = solve_thermal(theta_space, p, Q_source=Q, bc=ThermalBC(value=100.0))
             bc = MechanicalBC(top_uy=top_uy)
             try:
-                u, report = newton_solve(space, p, theta, bc)
+                u, report = newton(space, p, theta, bc)
             except InadmissibleStrain as exc:
                 assert "(x, y) = (" in str(exc)
                 outcomes[a, b, Q, top_uy] = "raised"
