@@ -25,7 +25,7 @@ from sltfem.assembly import (
     strains_at_qps,
     _row_pointer,
 )
-from sltfem.mesh import GAMMA1, GAMMA2, GAMMA3, GAMMA4
+from sltfem.mesh import ALL_TAGS, GAMMA1, GAMMA2, GAMMA3, GAMMA4, GAMMA_C_LOWER, GAMMA_C_UPPER
 from sltfem.solver import linear_solve, solve_thermal
 
 from mechanics import mechanical
@@ -211,6 +211,47 @@ def test_dirichlet_data_pinned(case, digest):
                     components=1 if isinstance(bc, ThermalBC) else 2)
     plan = AssemblyPlan(space, space.components, bc)
     data = np.flatnonzero(plan.fixed).tobytes() + plan.lift.tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+# sha256 of each tag's name and boundary scalar dofs (int64), over ALL_TAGS:
+# pins the corner and Q2 midpoint dofs of the outer sides and the crack faces.
+BOUNDARY_DOF_DIGESTS = [
+    ((3, 5, None, 1), "dcf7df7c117e092390960c724bfc475e0b1224222be2e85a1f8b391ae46722a5"),
+    ((3, 5, None, 2), "7dc8a695d49f3c4ceb9add452a0a387c1b410042b8fb2ab5b6aa27dd5e873f2e"),
+    ((4, 4, CrackSpec(), 1), "7bfc4bd07b53b0cbb2a9ec187a40533b6b675a3c9f3b576cfaaa42815dfdb228"),
+    ((4, 4, CrackSpec(), 2), "f19fdb211da7d5eb836c641b9185aa4fcca916500f9eb9e29742f2e39b10b10d"),
+    ((4, 4, CrackSpec(mouth_edge="right"), 1),
+     "10302f13c0d944e02fee2bc47646e2a8ccfc4783ce03cf7c7da5c542aea2f2bb"),
+    ((4, 4, CrackSpec(mouth_edge="right"), 2),
+     "c8cf8a0c1b776798e142588ad85bd129b4c3794a410a59737ed1f81a9e538fd0"),
+    ((8, 4, CrackSpec(tip_x=0.75), 1),
+     "2b2e93a02a576bc581181d3bb7ac6f8fbf1033c5d1d34dbc144c0c4010e0ab3a"),
+    ((8, 4, CrackSpec(tip_x=0.75), 2),
+     "afb132ca2837ea6f2045e948e161bea8ee7058480edb820788027f80c15a38fd"),
+    ((8, 8, CrackSpec(mouth_edge="right", tip_x=0.25, y_line=0.25), 1),
+     "3246ff91cb859903b20b3d81dfd89f0f0e9becd0a199458c40d92ca735729fb7"),
+    ((8, 8, CrackSpec(mouth_edge="right", tip_x=0.25, y_line=0.25), 2),
+     "a3a5226828ed01a8ee9aa8cc5047302175fc04e4526ac975e1474c88b04e5f83"),
+    ((6, 4, CrackSpec(tip_x=1 / 6, y_line=0.75), 1),
+     "a673b25f662a970968693b0f98d1782f32426284094ec9aac02f41d8ba6c0495"),
+    ((6, 4, CrackSpec(tip_x=1 / 6, y_line=0.75), 2),
+     "c32fd8dd6188fb1a12785f67e2b6d5d6faab018d5ba9b3bf66e3002ae4c7d676"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", BOUNDARY_DOF_DIGESTS, ids=[
+    f"{mesh}-q{order}" for mesh in ("3x5-uncracked", "4x4-left", "4x4-right", "8x4-left-tip0.75",
+                                    "8x8-right-tip0.25-line0.25", "6x4-left-tip1of6-line0.75")
+    for order in (1, 2)])
+def test_boundary_dofs_pinned(spec, digest):
+    nx, ny, crack, order = spec
+    mesh = build_grid(nx, ny) if crack is None else build_cracked_grid(nx, ny, crack)
+    space = FESpace(mesh, order=order)
+    dofs = {tag: space.boundary_scalar_dofs(tag) for tag in ALL_TAGS}
+    if crack is None:
+        assert dofs[GAMMA_C_UPPER].size == dofs[GAMMA_C_LOWER].size == 0
+    data = b"".join(tag.encode() + d.astype(np.int64).tobytes() for tag, d in dofs.items())
     assert hashlib.sha256(data).hexdigest() == digest
 
 
