@@ -47,6 +47,10 @@ def _lagrange_1d(order: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # left), then center. Entries are (i, j) indices into the 1D bases.
 _Q1_LAYOUT = [(0, 0), (1, 0), (1, 1), (0, 1)]
 _Q2_LAYOUT = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (2, 1), (1, 2), (0, 1), (1, 1)]
+# Local dofs of element edge k, from corner k to corner (k + 1) mod 4, per
+# order: its corners, and at Q2 its midpoint 4 + k.
+_EDGE_DOFS = {1: np.array([[0, 1], [1, 2], [2, 3], [3, 0]]),
+              2: np.array([[0, 1, 4], [1, 2, 5], [2, 3, 6], [3, 0, 7]])}
 
 
 def shape_functions(order: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,8 +96,6 @@ class FESpace:
     # filled by __post_init__
     element_dofs: np.ndarray = field(init=False, repr=False)   # (ne, nloc) scalar dofs
     dof_coords: np.ndarray = field(init=False, repr=False)     # (n_scalar_dofs, 2)
-    edge_keys: np.ndarray = field(init=False, repr=False)      # sorted lo*n_nodes+hi corner keys
-    edge_dof: np.ndarray = field(init=False, repr=False)       # edge dof of each edge_keys entry
     qp_ref: np.ndarray = field(init=False, repr=False)
     qp_w: np.ndarray = field(init=False, repr=False)
     N: np.ndarray = field(init=False, repr=False)              # (nqp, nloc)
@@ -121,18 +123,17 @@ class FESpace:
         if self.order == 1:
             self.element_dofs = mesh.elements.copy()
             self.dof_coords = mesh.nodes.copy()
-            self.edge_keys = self.edge_dof = np.zeros(0, dtype=int)
         else:
             # Element edges in (element, local edge) order, keyed by their
             # sorted corner pair; each edge is numbered at its first occurrence.
-            corners = np.sort(mesh.elements[:, [0, 1, 1, 2, 2, 3, 3, 0]].reshape(-1, 2), axis=1)
-            self.edge_keys, first, inverse = np.unique(
+            corners = np.sort(mesh.elements[:, _EDGE_DOFS[1]].reshape(-1, 2), axis=1)
+            _, first, inverse = np.unique(
                 corners[:, 0] * nn + corners[:, 1], return_index=True, return_inverse=True)
-            self.edge_dof = np.empty_like(first)
-            self.edge_dof[np.argsort(first)] = nn + np.arange(first.size)
+            edge_dof = np.empty_like(first)
+            edge_dof[np.argsort(first)] = nn + np.arange(first.size)
             cells = nn + first.size + np.arange(mesh.n_elements)
             self.element_dofs = np.column_stack(
-                [mesh.elements, self.edge_dof[inverse].reshape(-1, 4), cells])
+                [mesh.elements, edge_dof[inverse].reshape(-1, 4), cells])
             edge_coords = mesh.nodes[corners[np.sort(first)]].mean(axis=1)
             self.dof_coords = np.vstack(
                 [mesh.nodes, edge_coords, mesh.nodes[mesh.elements].mean(axis=1)])
@@ -164,14 +165,9 @@ class FESpace:
         return np.stack([2 * s, 2 * s + 1], axis=-1)
 
     def boundary_scalar_dofs(self, tag: str) -> np.ndarray:
-        """Scalar dofs lying on facets with the given tag (corners + Q2 midpoints)."""
-        facets = np.array(self.mesh.facets_with_tag(tag), dtype=int).reshape(-1, 2)
-        dofs = [facets.ravel()]
-        if self.order == 2:
-            facets.sort(axis=1)
-            keys = facets[:, 0] * self.mesh.n_nodes + facets[:, 1]
-            dofs.append(self.edge_dof[np.searchsorted(self.edge_keys, keys)])
-        return np.unique(np.concatenate(dofs))
+        """Scalar dofs on the tag's element edges (corners + Q2 midpoints), sorted."""
+        e, k = self.mesh.boundary.get(tag, np.zeros((0, 2), dtype=int)).T
+        return np.unique(self.element_dofs[e[:, None], _EDGE_DOFS[self.order][k]])
 
 
 @dataclass
@@ -250,44 +246,43 @@ def _evaluate(value, xy: np.ndarray) -> np.ndarray | float:
 
 
 class AssemblyPlan:
-    """CSR pattern of a space's global matrix, built once and reused per assembly.
-
-    Element matrices, given in blocks of consecutive elements, are summed
+    """CSR pattern and Dirichlet data of a space and a ThermalBC or
+    MechanicalBC, built once and reused per assembly; the dof block is the
+    space's component count. In the order of bc.component_values(), so a
+    later tag wins at a shared corner, each value that is not None fixes
+    component c of the tag's scalar dofs d (dof block d + c) in fixed and
+    lift. A tag with a component count other than the space's raises
+    ValueError, and fixed dofs that leave a rigid motion free raise
+    EmptyDirichlet (_check_pinned). The pattern, sorted from the scalar
+    (row, col) keys, is the one left by symmetric elimination: a fixed row
+    or column keeps only its unit diagonal. system() sums element matrices
     into the CSR data through a scatter index, in the order a COO-to-CSR
-    conversion sums them, so the blocks never have to exist at once. The
-    pattern is sorted from the scalar (row, col) keys. A plan given a
-    ThermalBC or MechanicalBC alone decides the Dirichlet data: in the order
-    of bc.component_values(), so a later tag wins at a shared corner, each
-    value that is not None fixes component c of the tag's scalar dofs d (dof
-    block d + c) in fixed and lift; a bc whose fixed dofs leave a rigid
-    motion free raises EmptyDirichlet (_check_pinned). The pattern is then
-    the one left by symmetric elimination: a fixed row or column keeps only
-    its unit diagonal, and the scatter sends each element entry in a fixed
-    row or column to one slot past the end, which is discarded. A plan keeps
-    its space and is tied to it and its boundary data: build it in the solve
-    that uses it, to be freed with it.
+    conversion sums them, and sends each entry in a fixed row or column to
+    one slot past the end, which is discarded. A plan is tied to its space
+    and boundary data: build it in the solve that uses it, to be freed with it.
     """
 
-    def __init__(self, space: FESpace, block: int,
-                 bc: ThermalBC | MechanicalBC | None = None):
+    def __init__(self, space: FESpace, bc: ThermalBC | MechanicalBC):
         ed = space.element_dofs
         ne, m = ed.shape
-        ns = space.n_scalar_dofs
+        ns, block = space.n_scalar_dofs, space.components
         keys = (np.repeat(ed, m, axis=1) * ns + np.tile(ed, (1, m))).ravel()
         keys, scatter = np.unique(keys, return_inverse=True)
         rows, cols = np.divmod(keys, ns)
         self.space = space
-        self.n = n = block * ns
+        self.n = n = space.n_dofs
         self.fixed = np.zeros(n, dtype=bool)
         self.lift = np.zeros(n)
-        for tag, comps in (bc.component_values() if bc is not None else {}).items():
+        for tag, comps in bc.component_values().items():
+            if len(comps) != block:
+                raise ValueError(f"{type(bc).__name__} gives {len(comps)} components on {tag}, "
+                                 f"but the space has {block}")
             sdofs = space.boundary_scalar_dofs(tag)
             for comp, value in enumerate(comps):
                 if value is not None:
                     self.fixed[block * sdofs + comp] = True
                     self.lift[block * sdofs + comp] = _evaluate(value, space.dof_coords[sdofs])
-        if bc is not None:
-            _check_pinned(space, block, self.fixed, bc)
+        _check_pinned(space, self.fixed, bc)
         self.dofs = (block * ed[..., None] + np.arange(block)).reshape(ne, -1)
         # Scalar entry (r, c) stands for entries (block r + i, block c + j). A
         # fixed row holds only its diagonal; the free rows block r + i hold the
@@ -319,13 +314,13 @@ class AssemblyPlan:
         indices[self.unit_diagonal] = fixed
         self.pattern = (indices[:nnz], indptr)
 
-    def assemble(self, k_blocks: Iterable[np.ndarray]) -> tuple[sp.csr_matrix, np.ndarray]:
-        """Global matrix K of per-element matrices, reduced by symmetric
-        elimination if the plan has Dirichlet data, and K lift, summed element
-        by element. k_blocks are (elements, m, m) blocks of consecutive
-        elements, in element order; each is summed straight into the CSR data
-        and K lift, in the order np.bincount sums one whole array, and may be
-        dropped before the next is formed."""
+    def system(self, k_blocks: Iterable[np.ndarray], f: np.ndarray) -> LinearSystem:
+        """The reduced system of per-element matrices: the global matrix K,
+        reduced by symmetric elimination, and the load f - K lift on the free
+        dofs and the lift on the fixed. k_blocks are (elements, m, m) blocks
+        of consecutive elements, in element order; each is summed straight
+        into the CSR data and K lift, in the order np.bincount sums one whole
+        array, and may be dropped before the next is formed."""
         nnz = self.pattern[0].size
         data, k_lift = np.zeros(nnz + 1), np.zeros(self.n)
         element = entry = 0   # the block's first element and first scatter entry
@@ -336,19 +331,13 @@ class AssemblyPlan:
             element, entry = element + len(k_local), entry + k_local.size
         data = data[:nnz]
         data[self.unit_diagonal] = 1.0
-        return sp.csr_matrix((data, *self.pattern), shape=(self.n, self.n)), k_lift
-
-    def system(self, k_blocks: Iterable[np.ndarray], f: np.ndarray) -> LinearSystem:
-        """The reduced system of per-element matrices in blocks (see assemble):
-        the load f - K lift on the free dofs and the lift on the fixed."""
-        matrix, k_lift = self.assemble(k_blocks)
         rhs = f - k_lift
         rhs[self.fixed] = self.lift[self.fixed]
-        return LinearSystem(matrix=matrix, rhs=rhs)
+        return LinearSystem(matrix=sp.csr_matrix((data, *self.pattern), shape=(self.n, self.n)),
+                            rhs=rhs)
 
 
-def _check_pinned(space: FESpace, block: int, fixed: np.ndarray,
-                  bc: ThermalBC | MechanicalBC) -> None:
+def _check_pinned(space: FESpace, fixed: np.ndarray, bc: ThermalBC | MechanicalBC) -> None:
     """Raise EmptyDirichlet unless the fixed dofs pin every rigid motion: the
     constant of a scalar plan, and of a vector plan the translations (1, 0),
     (0, 1) and the rotation (-y, x), whose values on the fixed dofs must have
@@ -359,7 +348,7 @@ def _check_pinned(space: FESpace, block: int, fixed: np.ndarray,
     dofs, tags = np.flatnonzero(fixed), ", ".join(bc.component_values())
     if dofs.size == 0:
         raise EmptyDirichlet(f"no Dirichlet dofs on {tags}")
-    if block == 1:
+    if space.components == 1:
         return
     on_x = dofs % 2 == 0
     c = space.dof_coords[dofs[on_x] // 2, 1]    # y of each fixed u_x
@@ -402,7 +391,7 @@ def assemble_thermal(space: FESpace, p: MaterialParams, Q_source=0.0,
     f_local = (_evaluate(Q_source, space.qp_xy) * space.detJxW) @ space.N
     f = np.bincount(space.element_dofs.ravel(), weights=f_local.ravel(),
                     minlength=space.n_scalar_dofs)
-    return AssemblyPlan(space, 1, bc).system([k_local], f)
+    return AssemblyPlan(space, bc).system([k_local], f)
 
 
 def _gradients(field: FEField) -> np.ndarray:
@@ -512,10 +501,13 @@ def assemble_mechanical(plan: AssemblyPlan, p: MaterialParams, eps: np.ndarray,
 
 def mass_matrix(space: FESpace) -> sp.csr_matrix:
     """Consistent scalar mass matrix of the space (per component): each
-    element's detJ = h_x h_y / 4 times the reference products of N."""
+    element's detJ = h_x h_y / 4 times the reference products of N, summed by
+    a COO-to-CSR conversion."""
     m_local = np.multiply.outer(0.25 * space.h[:, 0] * space.h[:, 1],
                                 np.einsum("qa,qb,q->ab", space.N, space.N, space.qp_w))
-    return AssemblyPlan(space, 1).assemble([m_local])[0]
+    ed, n = space.element_dofs, space.n_scalar_dofs
+    rows, cols = np.repeat(ed, ed.shape[1], axis=1), np.tile(ed, (1, ed.shape[1]))
+    return sp.csr_matrix((m_local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
 
 
 def l2_norm(space: FESpace, dof_values: np.ndarray) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import solver
+from . import postprocess, solver
 from .assembly import FESpace, MechanicalBC, ThermalBC, thermal_load
 from .constitutive import MaterialParams
 from .errors import (InvalidParameter, InvariantViolation, NotPositiveDefinite, TypeMismatch,
@@ -354,10 +354,8 @@ def run_single(cfg: RunConfig) -> RunResult:
 
 def _solve(cfg: RunConfig, setup: solver._Setup) -> RunResult:
     """Newton mechanical solve of cfg from its set-up, and field recovery."""
-    from .postprocess import recover_fields
-
     p = cfg.material()
     u, report = newton_solve(setup, p, cfg.picard())
-    fields = recover_fields(u, setup.theta, p)
+    fields = postprocess.recover_fields(u, setup.theta, p)
     return RunResult(config=cfg, mesh=u.space.mesh, theta=setup.theta, u=u, report=report,
                      fields=fields)

@@ -59,13 +59,14 @@ class CrackSpec:
 class CrackedMesh:
     """Quad mesh with optional crack seam and tagged boundary facets.
 
-    elements are counterclockwise (n0, n1, n2, n3); facet_tags maps a facet
-    (node id pair, in element-boundary orientation) to its tag.
+    elements are counterclockwise (n0, n1, n2, n3); boundary maps each tag
+    to its facets as (n, 2) rows (element, k): edge k of the element, from
+    corner k to corner (k + 1) mod 4, in element-boundary orientation.
     """
 
     nodes: np.ndarray                      # (n_nodes, 2)
     elements: np.ndarray                   # (n_elems, 4) int
-    facet_tags: dict[tuple[int, int], str]
+    boundary: dict[str, np.ndarray]
     tip_node: int | None = None
     face_pairs: list[tuple[int, int]] = field(default_factory=list)
     nx: int = 0
@@ -80,11 +81,13 @@ class CrackedMesh:
     def n_elements(self) -> int:
         return self.elements.shape[0]
 
-    def facets_with_tag(self, tag: str) -> list[tuple[int, int]]:
-        return [f for f, t in self.facet_tags.items() if t == tag]
+    def facets_with_tag(self, tag: str) -> np.ndarray:
+        """Node pairs (n, 2) of the tag's facets; (0, 2) for a tag the mesh lacks."""
+        e, k = self.boundary.get(tag, np.zeros((0, 2), dtype=int)).T
+        return self.elements[e[:, None], (k[:, None] + [0, 1]) % 4]
 
     def nodes_with_tag(self, tag: str) -> np.ndarray:
-        return np.unique(np.array(self.facets_with_tag(tag), dtype=int))
+        return np.unique(self.facets_with_tag(tag))
 
 
 def _grid(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
@@ -96,19 +99,12 @@ def _grid(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([X.ravel(), Y.ravel()]), quads
 
 
-def _tag_edges(tags: dict, quads: np.ndarray, k: int, tag: str) -> None:
-    """Tag edge k (corner k to corner k+1, in element-boundary orientation)
-    of each quad in quads."""
-    edges = quads[..., [k, (k + 1) % 4]].reshape(-1, 2).tolist()
-    tags.update(dict.fromkeys(map(tuple, edges), tag))
-
-
-def _outer_tags(quads: np.ndarray) -> dict[tuple[int, int], str]:
-    tags = {}
-    for tag, side, k in ((GAMMA1, quads[0], 0), (GAMMA2, quads[:, -1], 1),
-                         (GAMMA3, quads[-1], 2), (GAMMA4, quads[:, 0], 3)):
-        _tag_edges(tags, side, k, tag)
-    return tags
+def _boundary(cells: np.ndarray, *faces: tuple) -> dict[str, np.ndarray]:
+    """Rows (element, k) per tag of the four sides of cells, the (ny, nx)
+    grid of element ids, and of each further (tag, cells, k) in faces."""
+    edges = ((GAMMA1, cells[0], 0), (GAMMA2, cells[:, -1], 1),
+             (GAMMA3, cells[-1], 2), (GAMMA4, cells[:, 0], 3), *faces)
+    return {tag: np.column_stack([e.ravel(), np.full(e.size, k)]) for tag, e, k in edges}
 
 
 def build_grid(nx: int, ny: int) -> CrackedMesh:
@@ -117,7 +113,7 @@ def build_grid(nx: int, ny: int) -> CrackedMesh:
         raise ValueError("nx, ny must be >= 1")
     nodes, quads = _grid(nx, ny)
     return CrackedMesh(nodes=nodes, elements=quads.reshape(-1, 4),
-                       facet_tags=_outer_tags(quads), nx=nx, ny=ny)
+                       boundary=_boundary(np.arange(nx * ny).reshape(ny, nx)), nx=nx, ny=ny)
 
 
 def build_cracked_grid(nx: int, ny: int, crack: CrackSpec = CrackSpec()) -> CrackedMesh:
@@ -140,20 +136,20 @@ def build_cracked_grid(nx: int, ny: int, crack: CrackSpec = CrackSpec()) -> Crac
     cols, upper = (np.s_[:it], line[:it]) if left else (np.s_[it:], line[it + 1:])
     # The original node serves the upper face, its copy (appended) the lower:
     # the row below the crack takes the copies as its top corners, and the
-    # facets read off the rewired quads (the mouth one too) follow.
+    # facets, edges of the rewired quads (the mouth one too), follow.
     remap = np.arange(len(nodes))
     remap[upper] = len(nodes) + np.arange(upper.size)
     quads[jc - 1, :, 2:] = remap[quads[jc - 1, :, 2:]]
 
-    tags = _outer_tags(quads)
-    _tag_edges(tags, quads[jc, cols], 0, GAMMA_C_UPPER)
-    _tag_edges(tags, quads[jc - 1, cols], 2, GAMMA_C_LOWER)
+    cells = np.arange(nx * ny).reshape(ny, nx)
+    boundary = _boundary(cells, (GAMMA_C_UPPER, cells[jc, cols], 0),
+                         (GAMMA_C_LOWER, cells[jc - 1, cols], 2))
     face_pairs = list(zip(upper.tolist(), remap[upper].tolist()))
 
     return CrackedMesh(
         nodes=np.vstack([nodes, nodes[upper]]),
         elements=quads.reshape(-1, 4),
-        facet_tags=tags,
+        boundary=boundary,
         tip_node=int(line[it]),
         face_pairs=face_pairs if left else face_pairs[::-1],   # mouth -> tip
         nx=nx,
@@ -176,6 +172,7 @@ def dump_mesh(mesh: CrackedMesh) -> str:
         lines.append(f"{i} {x:.17g} {y:.17g}")
     for e, conn in enumerate(mesh.elements):
         lines.append(f"{e} {conn[0]} {conn[1]} {conn[2]} {conn[3]}")
-    for (na, nb), tag in sorted(mesh.facet_tags.items()):
+    for na, nb, tag in sorted((na, nb, tag) for tag in mesh.boundary
+                              for na, nb in mesh.facets_with_tag(tag).tolist()):
         lines.append(f"facet {na} {nb} {tag}")
     return "\n".join(lines) + "\n"

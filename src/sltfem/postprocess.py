@@ -9,6 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import config
 from .assembly import FEField, shape_functions, strains_at_qps
 from .constitutive import (
     MaterialParams,
@@ -140,8 +141,6 @@ def run_sweep(base_config, parameter: str, values) -> list["SweepRow"]:
     this thread; a value's exception is raised at its turn. Returns or
     raises only once every started solve has finished or been cancelled.
     """
-    from . import config  # deferred: config imports postprocess
-
     if parameter not in ("a", "b"):
         raise ValueError("sweep parameter must be 'a' or 'b'")
     values = [float(v) for v in values]

@@ -340,7 +340,7 @@ def build_setup(space: FESpace, p: MaterialParams, bc: MechanicalBC,
     in float64 if it failed. If the b = 0 part raises, thermal() is still
     called first, so a thermal error wins. No thread is started here."""
     try:
-        plan = AssemblyPlan(space, 2, bc)
+        plan = AssemblyPlan(space, bc)
         p_lin = p if p.b == 0.0 else replace(p, b=0.0)
         sys, _ = assemble_mechanical(plan, p_lin, np.zeros((space.mesh.n_elements, space.nqp, 3)),
                                      np.zeros(space.n_dofs))

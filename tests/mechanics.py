@@ -27,5 +27,5 @@ def picard(space, p, theta, bc, cfg=PicardConfig()):
 def mechanical(space, p, theta, u, bc, tangent=False):
     """The Picard (or, with tangent, Newton) system linearized at u, with a
     plan of bc and theta's thermal load."""
-    return assemble_mechanical(AssemblyPlan(space, 2, bc), p, strains_at_qps(u),
+    return assemble_mechanical(AssemblyPlan(space, bc), p, strains_at_qps(u),
                                thermal_load(space, p, theta), tangent)

@@ -209,7 +209,7 @@ def test_dirichlet_data_pinned(case, digest):
     make_mesh, order, bc = case
     space = FESpace(make_mesh(), order=order,
                     components=1 if isinstance(bc, ThermalBC) else 2)
-    plan = AssemblyPlan(space, space.components, bc)
+    plan = AssemblyPlan(space, bc)
     data = np.flatnonzero(plan.fixed).tobytes() + plan.lift.tobytes()
     assert hashlib.sha256(data).hexdigest() == digest
 
@@ -382,7 +382,7 @@ class TestMechanicalAssembly:
         sys_lin, _ = mechanical(space, make_params(b=0.0), None, FEField.zero(space), bc)
         diff = abs(sys_nl.matrix - phi * sys_lin.matrix).max()
         # Dirichlet diagonals stay at 1 in both, so compare off-eliminated rows
-        free = np.flatnonzero(~AssemblyPlan(space, 2, bc).fixed)
+        free = np.flatnonzero(~AssemblyPlan(space, bc).fixed)
         sub_nl = sys_nl.matrix[np.ix_(free, free)].toarray()
         sub_lin = sys_lin.matrix[np.ix_(free, free)].toarray()
         np.testing.assert_allclose(sub_nl, phi * sub_lin, rtol=1e-12)
@@ -393,7 +393,7 @@ class TestMechanicalAssembly:
         space = FESpace(build_grid(4, 4), order=1, components=2)
         bc = MechanicalBC(extra={GAMMA1: (None, None), GAMMA3: (None, None)})
         with pytest.raises(EmptyDirichlet, match=f"^no Dirichlet dofs on {GAMMA3}, {GAMMA1}$"):
-            AssemblyPlan(space, 2, bc)
+            AssemblyPlan(space, bc)
 
     @pytest.mark.parametrize("extra, motion", [
         ({GAMMA3: (None, 0.0)}, "translation along (1, 0)"),
@@ -410,12 +410,24 @@ class TestMechanicalAssembly:
         tags = ", ".join(bc.component_values())
         with pytest.raises(EmptyDirichlet, match=re.escape(
                 f"the Dirichlet dofs on {tags} leave a rigid {motion} free")):
-            AssemblyPlan(space, 2, bc)
+            AssemblyPlan(space, bc)
+
+    @pytest.mark.parametrize("components, bc, given", [
+        (1, MechanicalBC(top_uy=0.3), 2), (2, ThermalBC(), 1)], ids=["mechanical", "thermal"])
+    def test_plan_rejects_other_component_count(self, components, bc, given):
+        # a MechanicalBC on a scalar space would fix dofs off its tags, and a
+        # ThermalBC on a vector space would leave u_y free
+        space = FESpace(build_grid(2, 2), order=2, components=components)
+        tag = next(iter(bc.component_values()))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{type(bc).__name__} gives {given} components on {tag}, "
+                f"but the space has {components}")):
+            AssemblyPlan(space, bc)
 
     def test_rejects_scalar_space(self):
         space = FESpace(build_grid(2, 2), order=1)
         with pytest.raises(ValueError, match="2-vector space"):
-            assemble_mechanical(AssemblyPlan(space, 1, ThermalBC()), make_params(),
+            assemble_mechanical(AssemblyPlan(space, ThermalBC()), make_params(),
                                 np.zeros((space.mesh.n_elements, space.nqp, 3)),
                                 np.zeros(space.n_dofs))
 
@@ -514,20 +526,20 @@ def assert_close_rel(actual, expected, rtol=1e-14):
                                atol=rtol * max(abs(expected).max(), 1e-300))
 
 
-def sorted_key_plan(space, dirichlet=None):
+def sorted_key_plan(space, dirichlet):
     """Scatter, pattern and unit diagonal of a vector plan built by sorting
     every vector (row, col) key and masking the full pattern, the
     construction the plan's derivation from the scalar pattern replaced.
-    Given Dirichlet data, the pattern is the one left by symmetric
-    elimination, and element entries in a fixed row or column scatter to the
-    slot past its end."""
+    The pattern is the one left by symmetric elimination of the Dirichlet
+    data, and element entries in a fixed row or column scatter to the slot
+    past its end."""
     dofs = space.vector_dofs(space.element_dofs).reshape(space.mesh.n_elements, -1)
     n, m = space.n_dofs, dofs.shape[1]
     keys = (np.repeat(dofs, m, axis=1) * n + np.tile(dofs, (1, m))).ravel()
     keys, scatter = np.unique(keys, return_inverse=True)
     rows, cols = np.divmod(keys, n)
     fixed = np.zeros(n, dtype=bool)
-    fixed[list(dirichlet or ())] = True
+    fixed[list(dirichlet)] = True
     kept = ~(fixed[rows] | fixed[cols]) | (rows == cols)
     slot = np.where(fixed[rows] | fixed[cols], kept.sum(), np.cumsum(kept) - 1)
     pattern = (cols[kept].astype(np.int32), _row_pointer(rows[kept], n))
@@ -560,7 +572,7 @@ class TestAssemblyPlan:
         f = np.zeros(space.n_dofs)
         np.add.at(f, space.element_dofs.ravel(), f_local.ravel())
         K_ref, f_ref = eliminate_oracle(coo_matrix_oracle(space, k_local, 1), f,
-                                        dirichlet_of(AssemblyPlan(space, 1, bc)))
+                                        dirichlet_of(AssemblyPlan(space, bc)))
         assert_close_rel(sys.matrix.toarray(), K_ref)
         assert_close_rel(sys.rhs, f_ref)
 
@@ -590,7 +602,7 @@ class TestAssemblyPlan:
         f = np.zeros(space.n_dofs)
         np.add.at(f, space.vector_dofs(space.element_dofs).ravel(), f_local.ravel())
         K_ref, f_ref = eliminate_oracle(coo_matrix_oracle(space, k_local, 2), f,
-                                        dirichlet_of(AssemblyPlan(space, 2, bc)))
+                                        dirichlet_of(AssemblyPlan(space, bc)))
         assert_close_rel(sys.matrix.toarray(), K_ref)
         assert_close_rel(sys.rhs, f_ref)
 
@@ -639,7 +651,7 @@ class TestAssemblyPlan:
         np.add.at(f, vdofs, f_local.ravel())
         K = coo_matrix_oracle(space, k_local, 2)
         K_ref, rhs_ref = eliminate_oracle(K, f - f_int + K @ u_ld,
-                                          dirichlet_of(AssemblyPlan(space, 2, bc)))
+                                          dirichlet_of(AssemblyPlan(space, bc)))
         assert_close_rel(sys.matrix.toarray(), K_ref)
         assert_close_rel(sys.internal_force, f_int)
         # The load f - F_int + K u_prev cancels its larger terms, so either side
@@ -659,26 +671,27 @@ class TestAssemblyPlan:
         space = FESpace(build_cracked_grid(n, n), order=order, components=2)
         m = 2 * space.element_dofs.shape[1]
         k_local = np.random.default_rng(n).normal(size=(space.mesh.n_elements, m, m))
-        for bc in (None, MechanicalBC(top_uy=0.1)):
-            plan = AssemblyPlan(space, 2, bc)
-            dirichlet = dirichlet_of(plan)
-            scatter, pattern, unit_diagonal = sorted_key_plan(space, dirichlet)
-            assert unit_diagonal.size == len(dirichlet)
-            for got, want in [(plan.scatter, scatter), *zip(plan.pattern, pattern),
-                              (plan.unit_diagonal, unit_diagonal)]:
-                assert got.dtype == want.dtype
-                np.testing.assert_array_equal(got, want)
-            nnz = pattern[0].size
-            data = np.bincount(scatter, weights=k_local.ravel(), minlength=nnz + 1)[:nnz]
-            data[unit_diagonal] = 1.0
-            np.testing.assert_array_equal(plan.assemble([k_local])[0].data, data)
-            # blocks of consecutive elements sum in the same order, bit for bit,
-            # into the matrix and into K lift
-            matrix, k_lift = plan.assemble(np.array_split(k_local, 3))
-            np.testing.assert_array_equal(matrix.data, data)
-            Kd = (k_local @ plan.lift[plan.dofs][..., None]).ravel()
-            np.testing.assert_array_equal(
-                k_lift, np.bincount(plan.dofs.ravel(), weights=Kd, minlength=plan.n))
+        plan = AssemblyPlan(space, MechanicalBC(top_uy=0.1))
+        dirichlet = dirichlet_of(plan)
+        scatter, pattern, unit_diagonal = sorted_key_plan(space, dirichlet)
+        assert unit_diagonal.size == len(dirichlet)
+        for got, want in [(plan.scatter, scatter), *zip(plan.pattern, pattern),
+                          (plan.unit_diagonal, unit_diagonal)]:
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        nnz = pattern[0].size
+        data = np.bincount(scatter, weights=k_local.ravel(), minlength=nnz + 1)[:nnz]
+        data[unit_diagonal] = 1.0
+        np.testing.assert_array_equal(plan.system([k_local], 0).matrix.data, data)
+        # blocks of consecutive elements sum in the same order, bit for bit,
+        # into the matrix and into K lift, seen as -rhs on the free dofs (the
+        # lift overwrites the fixed)
+        sys = plan.system(np.array_split(k_local, 3), 0)
+        np.testing.assert_array_equal(sys.matrix.data, data)
+        Kd = (k_local @ plan.lift[plan.dofs][..., None]).ravel()
+        k_lift = np.bincount(plan.dofs.ravel(), weights=Kd, minlength=plan.n)
+        np.testing.assert_array_equal(-sys.rhs[~plan.fixed], k_lift[~plan.fixed])
+        assert abs(k_lift[~plan.fixed]).max() > 0.0
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_element_blocks_match_the_whole_element_array(self, monkeypatch, order):
@@ -712,9 +725,9 @@ class TestAssemblyPlan:
         bc = MechanicalBC(top_uy=0.1)
         systems = [
             (assemble_thermal(theta_space, p, 100.0, ThermalBC()),
-             dirichlet_of(AssemblyPlan(theta_space, 1, ThermalBC()))),
+             dirichlet_of(AssemblyPlan(theta_space, ThermalBC()))),
             (mechanical(space, p, None, FEField.zero(space), bc)[0],
-             dirichlet_of(AssemblyPlan(space, 2, bc))),
+             dirichlet_of(AssemblyPlan(space, bc))),
         ]
         for sys, dirichlet in systems:
             dofs = np.fromiter(dirichlet, dtype=int)

@@ -35,7 +35,7 @@ def plate():
     p, bc = cfg.material(), cfg.mechanical_bc()
     space = FESpace(cfg.build_mesh(), order=2, components=2)
     theta = solve_thermal(FESpace(space.mesh, order=2), p, cfg.Q, cfg.thermal_bc())
-    plan = AssemblyPlan(space, 2, bc)
+    plan = AssemblyPlan(space, bc)
     f = thermal_load(space, p, theta)
     sys0, _ = assemble_mechanical(plan, replace(p, b=0.0),
                                   strains_at_qps(FEField.zero(space)), f)

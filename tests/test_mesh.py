@@ -123,10 +123,12 @@ class TestBuildCrackedGrid:
         # reversed twin, i.e. the edges of one element only
         edges = {(int(a), int(b)) for conn in mesh.elements
                  for a, b in zip(conn, np.roll(conn, -1))}
-        assert set(mesh.facet_tags) == {(a, b) for a, b in edges if (b, a) not in edges}
+        facets = [tuple(f) for tag in mesh.boundary for f in mesh.facets_with_tag(tag).tolist()]
+        assert len(set(facets)) == len(facets)
+        assert set(facets) == {(a, b) for a, b in edges if (b, a) not in edges}
         # 2 (nx + ny) outer facets, plus one per cracked column on each crack face
-        assert len(mesh.facet_tags) == 2 * (nx + ny) + 2 * len(mesh.face_pairs)
-        for tag in mesh.facet_tags.values():
+        assert len(facets) == 2 * (nx + ny) + 2 * len(mesh.face_pairs)
+        for tag in mesh.boundary:
             assert tag in ALL_TAGS
 
     def test_total_area_one(self):
@@ -184,11 +186,12 @@ class TestDumpMesh:
         mesh = build_cracked_grid(4, 4)
         text = dump_mesh(mesh)
         lines = text.splitlines()
-        assert len(lines) == mesh.n_nodes + mesh.n_elements + len(mesh.facet_tags)
+        n_facets = sum(len(rows) for rows in mesh.boundary.values())
+        assert len(lines) == mesh.n_nodes + mesh.n_elements + n_facets
         assert lines[0].split() == ["0", "0", "0"]
         facet_lines = [ln for ln in lines if ln.startswith("facet")]
-        assert len(facet_lines) == len(mesh.facet_tags)
+        assert len(facet_lines) == n_facets
         na, nb, tag = facet_lines[0].split()[1:]
-        assert (int(na), int(nb)) in mesh.facet_tags
         assert tag in ALL_TAGS
+        assert [int(na), int(nb)] in mesh.facets_with_tag(tag).tolist()
         assert text.endswith("\n")

@@ -74,7 +74,7 @@ def internal_force(u, p):
 def free_residual(u, p, theta, bc):
     """f - F_int(u) on the free dofs, and the free-dof mask."""
     space = u.space
-    free = ~AssemblyPlan(space, 2, bc).fixed
+    free = ~AssemblyPlan(space, bc).fixed
     return (thermal_load(space, p, theta) - internal_force(u, p))[free], free
 
 
