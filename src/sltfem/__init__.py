@@ -61,12 +61,6 @@ from .solver import (
     picard_solve,
     solve_thermal,
 )
-from .tensors import (
-    Compliance3,
-    Stiffness3,
-    build_compliance,
-    build_stiffness,
-    energy_norm_m,
-)
+from .tensors import Stiffness3, build_stiffness, energy_norm_m
 
 __version__ = "0.1.0"

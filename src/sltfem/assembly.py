@@ -165,8 +165,9 @@ class FESpace:
         return np.stack([2 * s, 2 * s + 1], axis=-1)
 
     def boundary_scalar_dofs(self, tag: str) -> np.ndarray:
-        """Scalar dofs on the tag's element edges (corners + Q2 midpoints), sorted."""
-        e, k = self.mesh.boundary.get(tag, np.zeros((0, 2), dtype=int)).T
+        """Scalar dofs on the tag's element edges (corners + Q2 midpoints),
+        sorted; ValueError for a tag outside ALL_TAGS (CrackedMesh.edges)."""
+        e, k = self.mesh.edges(tag).T
         return np.unique(self.element_dofs[e[:, None], _EDGE_DOFS[self.order][k]])
 
 

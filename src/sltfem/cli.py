@@ -242,7 +242,6 @@ def main(argv: list[str] | None = None) -> int:
     except (SltfemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -15,13 +15,7 @@ import numpy as np
 from scipy.special import hyp2f1
 
 from .errors import InadmissibleStrain, InvalidParameter
-from .tensors import (
-    Compliance3,
-    Stiffness3,
-    build_compliance,
-    build_stiffness,
-    energy_norm_m,
-)
+from .tensors import Stiffness3, build_stiffness, energy_norm_m
 
 # Guard band below the singular surface b*t = 1 of the stress denominator.
 DELTA_GUARD = 1e-8
@@ -29,7 +23,7 @@ DELTA_GUARD = 1e-8
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Material constants plus the derived stiffness/compliance pair.
+    """Material constants plus the derived stiffness E, the law's one checked operator.
 
     alpha = alpha_T * (3*lam + 2*mu), kept exactly in the 3D-bulk form the
     governing equations use even though the model is two-dimensional.
@@ -45,7 +39,6 @@ class MaterialParams:
     k: float = 1.0
     alpha: float = field(init=False)
     E: Stiffness3 = field(init=False, repr=False)
-    K: Compliance3 = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.mu <= 0.0:
@@ -60,35 +53,40 @@ class MaterialParams:
             raise InvalidParameter("k", f"k={self.k} must be positive")
         E = build_stiffness(self.lam, self.mu, self.gamma, self.fiber_angle)
         object.__setattr__(self, "E", E)
-        object.__setattr__(self, "K", build_compliance(E))
         object.__setattr__(self, "alpha", self.alpha_T * (3.0 * self.lam + 2.0 * self.mu))
 
 
-def stress_from_strain_m(eps_m: np.ndarray, p: MaterialParams) -> np.ndarray:
-    """Vectorized stress law on Mandel vectors, shape (..., 3).
+def _admissible_t(eps_m: np.ndarray, p: MaterialParams) -> np.ndarray:
+    """Energy norms t of the Mandel strains eps_m; InadmissibleStrain, with
+    the index of the largest t, if any point has b*t >= 1 - DELTA_GUARD."""
+    t = energy_norm_m(eps_m, p.E.entries)
+    if np.any(p.b * t >= 1.0 - DELTA_GUARD):
+        idx = np.unravel_index(int(np.argmax(t)), np.shape(t)) if np.ndim(t) else None
+        raise InadmissibleStrain(float(np.max(t)), location=idx)
+    return t
 
-    Raises InadmissibleStrain if any point has b*t >= 1 - DELTA_GUARD.
-    """
+
+def stress_from_strain_m(eps_m: np.ndarray, p: MaterialParams) -> np.ndarray:
+    """Vectorized stress law E[eps] phi(t) on Mandel vectors, shape (..., 3),
+    phi from relaxation_factor_m; InadmissibleStrain as _admissible_t raises it."""
     eps_m = np.asarray(eps_m, dtype=float)
     lin = eps_m @ p.E.entries  # E symmetric, so right-multiply is fine
     if p.b == 0.0:
         return lin
-    t = energy_norm_m(eps_m, p.E.entries)
-    bt = p.b * t
-    if np.any(bt >= 1.0 - DELTA_GUARD):
-        idx = np.unravel_index(int(np.argmax(bt)), np.shape(bt)) if np.ndim(bt) else None
-        raise InadmissibleStrain(float(np.max(t)), location=idx)
-    phi = (1.0 - bt**p.a) ** (-1.0 / p.a)
+    phi, _ = relaxation_factor_m(_admissible_t(eps_m, p), p)
     return lin * phi[..., None]
 
 
 def strain_from_stress_m(sigma_m: np.ndarray, p: MaterialParams) -> np.ndarray:
-    """Vectorized strain response on Mandel vectors; defined for every stress."""
+    """Vectorized strain response on Mandel vectors; defined for every stress.
+    The compliance K = E^-1 is p.E.entries inverted here, then symmetrized."""
     sigma_m = np.asarray(sigma_m, dtype=float)
-    lin = sigma_m @ p.K.entries
+    K = np.linalg.inv(p.E.entries)
+    K = 0.5 * (K + K.T)
+    lin = sigma_m @ K
     if p.b == 0.0:
         return lin
-    s = energy_norm_m(sigma_m, p.K.entries)
+    s = energy_norm_m(sigma_m, K)
     psi = (1.0 + (p.b * s) ** p.a) ** (-1.0 / p.a)
     return lin * psi[..., None]
 
@@ -115,13 +113,12 @@ def strain_energy_density_m(eps_m: np.ndarray, p: MaterialParams) -> np.ndarray:
     The radial path integral int_0^1 sigma(s*eps):eps ds collapses to
     int_0^t r*(1-(b*r)^a)^(-1/a) dr with t the energy norm; the substitution
     w = (b*r)^a turns it into 1/2 t^2 2F1(2/a, 1/a; 2/a+1; (b*t)^a).
+    InadmissibleStrain as in stress_from_strain_m, naming the same point.
     """
     eps_m = np.asarray(eps_m, dtype=float)
-    t = energy_norm_m(eps_m, p.E.entries)
     if p.b == 0.0:
-        return 0.5 * t**2
-    if np.any(p.b * t >= 1.0 - DELTA_GUARD):
-        raise InadmissibleStrain(float(np.max(t)))
+        return 0.5 * energy_norm_m(eps_m, p.E.entries) ** 2
+    t = _admissible_t(eps_m, p)
     return 0.5 * t**2 * hyp2f1(2.0 / p.a, 1.0 / p.a, 2.0 / p.a + 1.0, (p.b * t) ** p.a)
 
 

@@ -81,9 +81,16 @@ class CrackedMesh:
     def n_elements(self) -> int:
         return self.elements.shape[0]
 
+    def edges(self, tag: str) -> np.ndarray:
+        """The tag's (element, k) rows: (0, 2) for a tag of ALL_TAGS the mesh
+        lacks (a crack tag on an uncracked grid), ValueError for any other."""
+        if tag not in ALL_TAGS:
+            raise ValueError(f"unknown boundary tag {tag!r}; the tags are {', '.join(ALL_TAGS)}")
+        return self.boundary.get(tag, np.zeros((0, 2), dtype=int))
+
     def facets_with_tag(self, tag: str) -> np.ndarray:
-        """Node pairs (n, 2) of the tag's facets; (0, 2) for a tag the mesh lacks."""
-        e, k = self.boundary.get(tag, np.zeros((0, 2), dtype=int)).T
+        """Node pairs (n, 2) of the tag's facets, the edges(tag) rows."""
+        e, k = self.edges(tag).T
         return self.elements[e[:, None], (k[:, None] + [0, 1]) % 4]
 
     def nodes_with_tag(self, tag: str) -> np.ndarray:

@@ -20,37 +20,27 @@ SQRT2 = np.sqrt(2.0)
 IDENTITY_M = np.array([1.0, 1.0, 0.0])
 
 
-class _SymmetricPositive3:
-    """entries become read-only and symmetrized: ValueError unless 3x3 and
-    symmetric to 1e-12 relative, NotPositiveDefinite unless SPD."""
+@dataclass(frozen=True)
+class Stiffness3:
+    """Fourth-order stiffness operator as a symmetric 3x3 Mandel matrix, the
+    law's only checked operator. entries become read-only and symmetrized:
+    ValueError unless 3x3 and symmetric to 1e-12 relative,
+    NotPositiveDefinite unless SPD."""
+
+    entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        name = type(self).__name__
         mat = np.asarray(self.entries, dtype=float)
         if mat.shape != (3, 3):
-            raise ValueError(f"{name} expects a 3x3 matrix, got shape {mat.shape}")
+            raise ValueError(f"Stiffness3 expects a 3x3 matrix, got shape {mat.shape}")
         if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * abs(mat).max()):
-            raise ValueError(f"{name} must be symmetric")
+            raise ValueError("Stiffness3 must be symmetric")
         mat = 0.5 * (mat + mat.T)
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
         eigmin = float(np.linalg.eigvalsh(mat).min())
         if eigmin <= 0.0:
-            raise NotPositiveDefinite(f"{name[:-1].lower()}: smallest eigenvalue {eigmin:.6g} <= 0")
-
-
-@dataclass(frozen=True)
-class Stiffness3(_SymmetricPositive3):
-    """Fourth-order stiffness operator as a symmetric 3x3 Mandel matrix."""
-
-    entries: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class Compliance3(_SymmetricPositive3):
-    """Inverse of the stiffness operator, same Mandel convention."""
-
-    entries: np.ndarray = field(repr=False)
+            raise NotPositiveDefinite(f"stiffness: smallest eigenvalue {eigmin:.6g} <= 0")
 
 
 def structural_mandel(fiber_angle: float) -> np.ndarray:
@@ -70,11 +60,6 @@ def build_stiffness(lam: float, mu: float, gamma: float, fiber_angle: float = 0.
     v_m = structural_mandel(fiber_angle)
     mat = 2.0 * mu * np.eye(3) + lam * np.outer(IDENTITY_M, IDENTITY_M) + gamma * np.outer(v_m, v_m)
     return Stiffness3(mat)
-
-
-def build_compliance(E: Stiffness3) -> Compliance3:
-    """Exact 3x3 inverse of the stiffness matrix."""
-    return Compliance3(np.linalg.inv(E.entries))
 
 
 def energy_norm_m(eps_m: np.ndarray, E_mat: np.ndarray) -> np.ndarray:

@@ -68,6 +68,10 @@ class TestShapeFunctions:
         N2, _ = shape_functions(2, nodes2)
         np.testing.assert_allclose(N2, np.eye(9), atol=1e-14)
 
+    def test_rejects_order_3(self):
+        with pytest.raises(ValueError, match="^unsupported order 3$"):
+            shape_functions(3, np.zeros((1, 2)))
+
     def test_gauss_rule_exactness(self):
         pts, w = gauss_points(3)
         # degree-5 polynomial in each variable is integrated exactly
@@ -105,6 +109,14 @@ class TestFESpace:
         space = FESpace(mesh, order=2)
         # 9 corners + 12 edges + 4 centers
         assert space.n_scalar_dofs == 25
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(order=3), "order must be 1 or 2"),
+        (dict(components=3), "components must be 1 or 2"),
+    ], ids=["order", "components"])
+    def test_rejects_unsupported_order_or_components(self, kw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FESpace(build_grid(2, 2), **kw)
 
     def test_crack_splits_q2_edge_dofs(self):
         mesh = build_cracked_grid(4, 4)
@@ -296,8 +308,14 @@ class TestThermalAssembly:
 
     def test_empty_dirichlet_raises(self):
         space = FESpace(build_grid(4, 4), order=1)
-        with pytest.raises(EmptyDirichlet, match="^no Dirichlet dofs on nonsense$"):
-            assemble_thermal(space, make_params(), 0.0, ThermalBC(value=1.0, tag="nonsense"))
+        with pytest.raises(EmptyDirichlet, match=f"^no Dirichlet dofs on {GAMMA_C_UPPER}$"):
+            assemble_thermal(space, make_params(), 0.0, ThermalBC(value=1.0, tag=GAMMA_C_UPPER))
+
+    def test_unknown_tag_raises(self):
+        space = FESpace(build_grid(4, 4), order=1)
+        with pytest.raises(ValueError, match="^unknown boundary tag 'gamma1_botom'; the tags are "
+                           f"{', '.join(ALL_TAGS)}$"):
+            assemble_thermal(space, make_params(), 0.0, ThermalBC(tag="gamma1_botom"))
 
     def test_rejects_vector_space(self):
         space = FESpace(build_grid(2, 2), order=1, components=2)
@@ -394,6 +412,11 @@ class TestMechanicalAssembly:
         bc = MechanicalBC(extra={GAMMA1: (None, None), GAMMA3: (None, None)})
         with pytest.raises(EmptyDirichlet, match=f"^no Dirichlet dofs on {GAMMA3}, {GAMMA1}$"):
             AssemblyPlan(space, bc)
+
+    def test_unknown_tag_raises(self):
+        space = FESpace(build_cracked_grid(4, 4), order=1, components=2)
+        with pytest.raises(ValueError, match="^unknown boundary tag 'gamma2_rigth'"):
+            AssemblyPlan(space, MechanicalBC(extra={"gamma2_rigth": (0.0, 0.0)}))
 
     @pytest.mark.parametrize("extra, motion", [
         ({GAMMA3: (None, 0.0)}, "translation along (1, 0)"),

@@ -32,6 +32,15 @@ class TestScenarioConfig:
             scenario_config("x", "linear")
 
 
+class TestUsage:
+    @pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["no-command", "unknown-command"])
+    def test_missing_or_unknown_command_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: sltfem" in capsys.readouterr().err
+
+
 class TestSolveCommand:
     def test_zero_load_run_exits_ok(self, capsys):
         code = main(["solve", "--mesh.nx", "4", "--mesh.ny", "4",
@@ -199,6 +208,12 @@ class TestReproductionSuite:
             main(["reproduce", "--out", str(tmp_path), flag, "1"])
         assert exc.value.code == 2
         assert "at least 2" in capsys.readouterr().err
+
+    def test_config_override_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--out", str(tmp_path), "--mesh.nx", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mesh.nx" in capsys.readouterr().err
 
     def test_one_set_up_per_scenario(self, tmp_path, fespace_builds, capsys):
         # the b- and a-sweep of each of the 4 scenarios share one mesh and its 2 spaces

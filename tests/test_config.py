@@ -1,11 +1,19 @@
 import math
+import os
 import re
 from pathlib import Path
 
 import pytest
 
 from sltfem import InvariantViolation, TypeMismatch, UnknownKey
-from sltfem.config import _KEYS, RunConfig, parse_config, run_single, serialize_config
+from sltfem.config import (
+    _KEYS,
+    RunConfig,
+    _usable_cores,
+    parse_config,
+    run_single,
+    serialize_config,
+)
 from sltfem.mesh import CrackSpec
 
 
@@ -282,3 +290,12 @@ class TestRunSingle:
         result = run_single(cfg)
         assert abs(result.theta.values - 100.0).max() < 1e-10
         assert abs(result.u.values).max() < 1e-10
+
+
+class TestUsableCores:
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _usable_cores() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)   # undeterminable
+        assert _usable_cores() == 1

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,23 @@ class TestMaterialParams:
 
     def test_compliance_inverse(self):
         p = make_params()
-        assert np.allclose(p.K.entries @ p.E.entries, np.eye(3), atol=1e-12)
+        assert np.allclose(np.linalg.inv(p.E.entries) @ p.E.entries, np.eye(3), atol=1e-12)
+
+    def test_every_spd_material_constructs_and_round_trips(self):
+        # A fiber term that dominates shear leaves E^-1 asymmetric by more
+        # than 1e-12 relative in rounding; no check of E^-1 may reject it.
+        rng = np.random.default_rng(9)
+        eps64 = np.finfo(float).eps
+        for lam, mu, gamma, angle in itertools.product(
+                (1e-3, 1.0, 1e3, 1e6), (1e-3, 1.0, 1e3), (0.0, 1.0, 1e2, 1e3, 1e4, 1e5, 1e6),
+                np.linspace(0.0, np.pi, 13)):
+            p = make_params(lam=lam, mu=mu, gamma=gamma, fiber_angle=angle)
+            sig = rng.normal(size=(20, 3))
+            s = energy_norm_m(sig, np.linalg.inv(p.E.entries))
+            sig *= (rng.uniform(0.0, 3.0, size=20) / (p.b * s))[:, None]   # b*s up to 3
+            back = stress_from_strain_m(strain_from_stress_m(sig, p), p)
+            err = np.linalg.norm(back - sig, axis=1) / np.linalg.norm(sig, axis=1)
+            assert err.max() <= 100.0 * eps64 * np.linalg.cond(p.E.entries), (lam, mu, gamma, angle)
 
     def test_invalid_params_rejected(self):
         for kw in (dict(mu=-1.0), dict(a=0.0), dict(b=-0.1), dict(k=0.0),
@@ -82,7 +100,7 @@ class TestStrainFromStress:
     def test_linear_limit(self):
         p = make_params(b=0.0)
         sig = np.array([2.0, 1.0, -0.5])
-        assert np.allclose(strain_from_stress_m(sig, p), p.K.entries @ sig)
+        assert np.allclose(strain_from_stress_m(sig, p), np.linalg.inv(p.E.entries) @ sig)
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
@@ -184,6 +202,16 @@ class TestStrainEnergyDensity:
             fd = (wp - wm) / (2 * h)
             sig = stress_from_strain_m(eps, p)
             assert fd == pytest.approx(float(sig @ delta), rel=1e-6, abs=1e-8)
+
+    def test_inadmissible_names_the_point_stress_names(self):
+        p = make_params(a=1.0, b=1.0, lam=0.0, mu=0.5, gamma=0.0)   # E = I, t = |eps|
+        eps = np.zeros((2, 4, 3))
+        eps[1, 2] = [2.0, 0.0, 0.0]   # the largest t
+        eps[0, 3] = [1.5, 0.0, 0.0]
+        for law in (stress_from_strain_m, strain_energy_density_m):
+            with pytest.raises(InadmissibleStrain, match="t=2 violates") as raised:
+                law(eps, p)
+            assert raised.value.t == 2.0 and raised.value.location == (1, 2)
 
 
 class TestThermalStress:

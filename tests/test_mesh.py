@@ -46,6 +46,16 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(0, 4)
 
+    def test_edges_of_a_missing_tag_are_empty_and_of_an_unknown_tag_raise(self):
+        mesh = build_grid(4, 4)
+        assert mesh.edges(GAMMA_C_UPPER).shape == (0, 2)
+        assert mesh.facets_with_tag(GAMMA_C_LOWER).shape == (0, 2)
+        with pytest.raises(ValueError, match="^unknown boundary tag 'top'; the tags are "
+                           f"{', '.join(ALL_TAGS)}$"):
+            mesh.edges("top")
+        with pytest.raises(ValueError, match="'gamma3_Top'"):
+            mesh.facets_with_tag("gamma3_Top")
+
 
 class TestBuildCrackedGrid:
     def test_4x4_default_crack_counts(self):
@@ -99,6 +109,11 @@ class TestBuildCrackedGrid:
             CrackSpec(tip_x=1.0)
         with pytest.raises(ValueError):
             CrackSpec(y_line=0.0)
+
+    @pytest.mark.parametrize("nx, ny", [(1, 4), (4, 1)])
+    def test_rejects_fewer_than_2_cells(self, nx, ny):
+        with pytest.raises(ValueError, match="^nx, ny must be >= 2 for a cracked grid$"):
+            build_cracked_grid(nx, ny)
 
     def test_crack_face_tags(self):
         mesh = build_cracked_grid(4, 4)

@@ -236,7 +236,37 @@ class TestLinearSolve:
         assert report.factorizations == 2 and precond.lu.dtype is np.float64
         self._assert_checked(sys0, x, report)
 
-    @pytest.mark.parametrize("failure", ["splu raises", "non-finite solve"])
+    def test_held_factor_out_of_budget_falls_back(self, monkeypatch):
+        # A budget below _CG_JUDGE: the held b = 0 factor's first pass on the
+        # tangent spends it with the true residual still falling, so the next
+        # pass misses at its start, and a fresh float32 factor solves.
+        sys0, sys1, u0 = self._plate_systems()
+        precond = Preconditioner()
+        linear_solve(sys0, precond=precond)
+        held = precond.lu
+        monkeypatch.setattr(sltfem.solver, "_CG_BUDGET", sltfem.solver._CG_JUDGE - 1)
+        call, factor, log = sltfem.solver._Residual.__call__, sltfem.solver._factor, []
+
+        def checked(self, x):
+            r, res, floor = call(self, x)
+            log.append(res)
+            return r, res, floor
+
+        def factoring(A, dtype):
+            log.append(dtype)
+            return factor(A, dtype)
+
+        monkeypatch.setattr(sltfem.solver._Residual, "__call__", checked)
+        monkeypatch.setattr(sltfem.solver, "_factor", factoring)
+        report = SolveReport()
+        x = linear_solve(sys1, report, x0=u0, precond=precond)
+        assert log[2] is np.float32 and len(log) == 5   # x0, one pass, fresh factor: zero, one pass
+        assert log[1] < log[0] and not sltfem.solver._meets_contract(log[1], 0.0)
+        assert report.factorizations == 1
+        assert precond.lu is not held and precond.lu.dtype is np.float32
+        self._assert_checked(sys1, x, report)
+
+    @pytest.mark.parametrize("failure", ["splu raises", "non-finite solve", "float64 fails too"])
     def test_failed_float32_factor_falls_back_to_float64(self, monkeypatch, failure):
         sys0, _, _ = self._plate_systems()
         splu = spla.splu
@@ -246,14 +276,19 @@ class TestLinearSolve:
                 return np.full_like(rhs, np.nan)
 
         def failing(A, **kwargs):
-            if A.dtype != np.float32:
+            if A.dtype != np.float32 and failure != "float64 fails too":
                 return splu(A, **kwargs)
-            if failure == "splu raises":
-                raise RuntimeError("Factor is exactly singular")
-            return NaNFactor()
+            if failure == "non-finite solve":
+                return NaNFactor()
+            raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(sltfem.solver.spla, "splu", failing)
         precond, report = Preconditioner(), SolveReport()
+        if failure == "float64 fails too":
+            with pytest.raises(SolverBreakdown, match="^sparse factorization failed: Factor is"):
+                linear_solve(sys0, report, precond=precond)
+            assert report.factorizations == 0 and precond.lu is None
+            return
         x = linear_solve(sys0, report, precond=precond)
         assert precond.lu.dtype is np.float64
         assert report.factorizations == (1 if failure == "splu raises" else 2)

@@ -1,13 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from sltfem import (
-    Compliance3,
+    MaterialParams,
     NotPositiveDefinite,
     Stiffness3,
-    build_compliance,
     build_stiffness,
     energy_norm_m,
+    strain_from_stress_m,
 )
 from sltfem.postprocess import _principal_values
 from sltfem.tensors import SQRT2, structural_mandel
@@ -81,19 +83,32 @@ class TestBuildStiffness:
         with pytest.raises(NotPositiveDefinite, match="mu=0.0"):
             build_stiffness(lam=1e-3, mu=0.0, gamma=1e3, fiber_angle=0.7)
 
+    def test_rejects_indefinite(self):
+        with pytest.raises(NotPositiveDefinite, match="^stiffness: smallest eigenvalue -1 <= 0$"):
+            Stiffness3(np.diag([1.0, -1.0, 1.0]))
+
     def test_fiber_angle_rotation(self):
         # m = e2: structural Mandel vector is (0, 1, 0)
         assert np.allclose(structural_mandel(np.pi / 2), [0.0, 1.0, 0.0], atol=1e-15)
 
 
 class TestBuildCompliance:
+    """The compliance E^-1 that strain_from_stress_m forms from p.E.entries:
+    at b = 0 it maps sigma to E^-1 sigma."""
+
+    @staticmethod
+    def linear_strain(E, sigma):
+        # strain_from_stress_m reads p.E and p.b alone, so E need not come
+        # from a Lame triple
+        return strain_from_stress_m(sigma, SimpleNamespace(E=E, b=0.0))
+
     def test_identity(self):
-        K = build_compliance(Stiffness3(np.eye(3)))
-        assert np.allclose(K.entries, np.eye(3))
+        sigma = np.array([1.0, -2.0, 0.5])
+        assert np.allclose(self.linear_strain(Stiffness3(np.eye(3)), sigma), sigma)
 
     def test_diagonal(self):
-        K = build_compliance(Stiffness3(np.diag([4.0, 1.0, 2.0])))
-        assert np.allclose(K.entries, np.diag([0.25, 1.0, 0.5]))
+        eps = self.linear_strain(Stiffness3(np.diag([4.0, 1.0, 2.0])), np.eye(3))
+        assert np.allclose(eps, np.diag([0.25, 1.0, 0.5]))
 
     def test_product_is_identity(self):
         rng = np.random.default_rng(3)
@@ -102,26 +117,22 @@ class TestBuildCompliance:
             gamma = rng.uniform(-0.5 * mu, 5.0)
             phi = rng.uniform(0, np.pi)
             try:
-                E = build_stiffness(lam, mu, gamma, phi)
+                p = MaterialParams(lam=lam, mu=mu, gamma=gamma, fiber_angle=phi, b=0.0)
             except NotPositiveDefinite:
                 continue
-            K = build_compliance(E)
-            assert np.allclose(K.entries @ E.entries, np.eye(3), atol=1e-12)
+            # rows of E are stresses whose strains are the unit vectors
+            assert np.allclose(strain_from_stress_m(p.E.entries, p), np.eye(3), atol=1e-12)
 
-    def test_compliance_requires_spd(self):
-        with pytest.raises(NotPositiveDefinite):
-            Compliance3(np.diag([1.0, -1.0, 1.0]))
-
-    @pytest.mark.parametrize("cls", [Stiffness3, Compliance3])
+    @pytest.mark.parametrize("cls", [Stiffness3])
     def test_rejects_other_shapes(self, cls):
-        with pytest.raises(ValueError, match="3x3"):
+        with pytest.raises(ValueError, match="^Stiffness3 expects a 3x3 matrix, got shape"):
             cls(np.eye(2))
 
-    @pytest.mark.parametrize("cls", [Stiffness3, Compliance3])
+    @pytest.mark.parametrize("cls", [Stiffness3])
     def test_rejects_asymmetry(self, cls):
         mat = np.eye(3)
         mat[0, 1] = 0.1
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(ValueError, match="^Stiffness3 must be symmetric$"):
             cls(mat)
         # asymmetry within 1e-12 of the largest entry is averaged away
         mat[0, 1] = 1e-13
